@@ -67,7 +67,7 @@ MakeCandidate(std::shared_ptr<const qec::StabilizerCode> code,
     c.arch.topology = qccd::TopologyKind::kGrid;
     c.arch.trap_capacity = 2;
     c.arch.gate_improvement = improvement;
-    c.options.workload = workload;
+    c.options.workload.kind = workload;
     c.options.rounds = rounds;
     c.options.max_shots = max_shots;
     c.options.target_logical_errors = 0;  // fixed budget: comparable rows

@@ -328,16 +328,16 @@ struct SweepEngineBenchResult
 };
 
 /**
- * Sweep-engine bench mode (ISSUE 3 acceptance): the Figure 9 capacity
- * sweep — (trap capacity x code distance) on the grid at 5X, replicated
- * across `seeds_per_point` Monte-Carlo seeds the way a threshold scan
- * replicates points — run once through the historical serial
- * `core::Evaluate` loop and once through `core::SweepRunner` on
- * `num_threads` threads. Verifies the engine's bit-identity contract on
- * every candidate and reports both wall-clocks; the engine's edge is
- * the keyed artifact cache (the serial loop recompiles, re-annotates,
- * and rebuilds the DEM for every seed replica) plus cross-candidate
- * shard interleaving.
+ * Sweep-engine bench mode: the Figure 9 capacity sweep — (trap
+ * capacity x code distance) on the grid at 5X, replicated across
+ * `seeds_per_point` Monte-Carlo seeds the way a threshold scan
+ * replicates points — run once as N one-candidate runs (a serial
+ * `core::Evaluate` loop) and once as one batched `core::SweepRunner`
+ * run, both on `num_threads` threads. Verifies the bit-identity
+ * contract on every candidate and reports both wall-clocks; the
+ * batched run's edge is the keyed artifact cache (each one-candidate
+ * run recompiles, re-annotates, and rebuilds the DEM for its seed
+ * replica) plus cross-candidate shard interleaving.
  */
 inline SweepEngineBenchResult
 RunSweepEngineBench(int num_threads, std::int64_t max_shots = 1 << 12,

@@ -103,7 +103,7 @@ main(int argc, char** argv)
         c.arch.topology = qccd::TopologyKind::kGrid;
         c.arch.trap_capacity = 2;
         c.arch.gate_improvement = 5.0;
-        c.options.workload = workload;
+        c.options.workload.kind = workload;
         c.options.max_shots = max_shots;
         c.options.target_logical_errors = 60;
         c.label = label;

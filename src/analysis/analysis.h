@@ -29,8 +29,8 @@
 
 namespace tiqec::analysis {
 
-/** Error-message subjects, shared by the serial and sweep paths so the
- *  byte-identity contract on error text holds. */
+/** Error-message subjects of the sweep engine's failure texts (and of
+ *  `tiqec_certify`'s report). */
 inline constexpr std::string_view kCompiledSubject = "compiled schedule";
 inline constexpr std::string_view kSimSubject = "simulation artifacts";
 inline constexpr std::string_view kCertifySubject = "distance certification";

@@ -1,6 +1,10 @@
 #include "common/atomic_file.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -21,11 +25,16 @@ AtomicWriteFile(const std::string& path, const std::string& content,
                 std::string* error)
 {
     // The temp file must live on the same filesystem as the target for
-    // rename() to be atomic, so it is a sibling, not a /tmp file. The
-    // suffix includes nothing random: concurrent writers of the same
-    // path race benignly (last rename wins with identical content in
-    // the store's content-addressed use).
-    const std::string tmp = path + ".tmp";
+    // rename() to be atomic, so it is a sibling, not a /tmp file. Its
+    // name is unique per write (process id + per-process counter):
+    // concurrent writers of one path — pool workers of one sweep, or
+    // processes sharing a store — must not truncate each other's temp
+    // file. Each renames its own complete file over the target, so the
+    // last rename wins and a reader never sees a partial file.
+    static std::atomic<std::uint64_t> next_tmp{0};
+    const std::string tmp =
+        path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(next_tmp.fetch_add(1, std::memory_order_relaxed));
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) {
         if (error != nullptr) {

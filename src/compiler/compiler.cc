@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "circuit/native_translation.h"
 #include "qec/parity_check.h"
@@ -11,6 +12,11 @@ namespace tiqec::compiler {
 int
 NumClustersFor(const qec::StabilizerCode& code, int trap_capacity)
 {
+    if (trap_capacity < 2) {
+        throw std::invalid_argument(
+            "trap capacity must be at least 2 (one slot is reserved for "
+            "communication)");
+    }
     const int cluster_size = trap_capacity - 1;
     return (code.num_qubits() + cluster_size - 1) / cluster_size;
 }

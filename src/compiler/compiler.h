@@ -61,13 +61,15 @@ struct CompilationResult
     Schedule schedule;
 };
 
-/** Number of clusters (traps) a code needs at a given trap capacity. */
+/** Number of clusters (traps) a code needs at a given trap capacity.
+ *  Throws std::invalid_argument for a capacity below 2 (one slot of
+ *  every trap is reserved for communication). */
 int NumClustersFor(const qec::StabilizerCode& code, int trap_capacity);
 
 /**
  * Builds a device of `topology` just large enough for `code` at
  * `trap_capacity` (paper §6.2 methodology: the device is sized to the
- * logical qubit under study).
+ * logical qubit under study). Throws like `NumClustersFor`.
  */
 qccd::DeviceGraph MakeDeviceFor(const qec::StabilizerCode& code,
                                 qccd::TopologyKind topology,

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.h"
 #include "common/text_format.h"
 #include "qec/code.h"
 #include "workloads/experiment.h"
@@ -117,9 +118,9 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
                 spec.options.seed = static_cast<std::uint64_t>(
                     text::ParseInt64(value, "seed"));
             } else if (key == "basis") {
-                spec.options.basis = ParseBasis(value);
+                spec.options.workload.basis = ParseBasis(value);
             } else if (key == "workload") {
-                spec.options.workload =
+                spec.options.workload.kind =
                     workloads::ParseWorkloadKind(value);
             } else if (key == "compile_only") {
                 spec.options.compile_only = ParseBool01(value, key);
@@ -214,6 +215,25 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
         return false;
     }
     return true;
+}
+
+std::string
+ParseErrorRecord(const std::string& line, const std::string& error)
+{
+    std::string label;
+    std::istringstream tokens(line);
+    std::string token;
+    while (tokens >> token) {
+        if (token.rfind("label=", 0) == 0) {
+            label = token.substr(6);
+        }
+    }
+    common::JsonRecord r;
+    r.Add("label", label);
+    r.Add("request", line);
+    r.Add("ok", false);
+    r.Add("error", "request parse: " + error);
+    return r.Object();
 }
 
 }  // namespace tiqec::core

@@ -69,10 +69,19 @@ bool ParseRequestLine(const std::string& line, RequestSpec* out,
 SweepCandidate MakeSweepCandidate(const RequestSpec& spec);
 
 /** `ParseRequestLine` + `MakeSweepCandidate` with every failure — parse
- *  or build — reported through `*error` (the historical
- *  `store::ParseSweepRequest` contract, byte-identical messages). */
+ *  or build — reported through `*error`. */
 bool ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                            std::string* error);
+
+/**
+ * The JSON result line for a request that `ParseRequestCandidate`
+ * rejected with `error`: label, request, ok=false, and the error
+ * prefixed "request parse: ". The label is the line's last `label=`
+ * token — the one a successful parse would have kept — or empty.
+ * Shared by the sweep service and `tiqec_certify`.
+ */
+std::string ParseErrorRecord(const std::string& line,
+                             const std::string& error);
 
 }  // namespace tiqec::core
 

@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <exception>
 #include <map>
-#include <mutex>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "analysis/analysis.h"
 #include "common/worker_pool.h"
-#include "decoder/union_find_decoder.h"
 #include "sim/parallel_sampler.h"
 #include "store/artifact_store.h"
 #include "store/keys.h"
@@ -76,19 +76,22 @@ struct SimEntry
 {
     bool ok = false;
     std::string error;
-    SimArtifacts arts;
+    /** Shared with every outcome that reads this entry. */
+    std::shared_ptr<SimArtifacts> arts = std::make_shared<SimArtifacts>();
 };
 
-/** Per-candidate Monte-Carlo state driven by the shared pool. A decode
- *  failure marks only this candidate; the sweep proceeds. */
-struct ShardState
+/** The message of a captured exception (a Monte-Carlo shard failure). */
+std::string
+ErrorText(const std::exception_ptr& error)
 {
-    std::unique_ptr<sim::LerShardRun> run;
-    int rounds = 1;
-    std::atomic<bool> failed{false};
-    std::mutex mu;
-    std::string error;
-};
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "unknown error";
+    }
+}
 
 /** Claims indices [0, n) off an atomic counter across the pool. */
 template <typename Fn>
@@ -147,8 +150,6 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
 
     // Reject malformed candidates up front; everything else flows through
     // the staged cache. `invalid[i]` short-circuits the later phases.
-    // The program-shape check is `CheckProgramCandidate`, shared with the
-    // serial `Evaluate` so both paths fail with byte-identical text.
     std::vector<std::string> invalid(n);
     std::vector<workloads::WorkloadSpec> specs(n);
     std::vector<std::vector<const qec::StabilizerCode*>> units(n);
@@ -168,7 +169,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                          "noise annotator requires a one-round schedule)";
             continue;
         }
-        specs[i] = c.options.workload_spec();
+        specs[i] = c.options.workload;
         invalid[i] = CheckProgramCandidate(*c.code, specs[i]);
         if (!invalid[i].empty()) {
             continue;
@@ -261,7 +262,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // validating candidate references. A failure gates only candidates
     // with validate_artifacts set (the cached artifacts stay shared), and
     // its formatted diagnostics flow through failure isolation exactly
-    // like a compile error — byte-identical to the serial Evaluate path.
+    // like a compile error.
     std::map<CompileKey, std::string> compile_validation;
     {
         std::map<CompileKey, const SweepCandidate*> exemplar;
@@ -301,10 +302,9 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 }
             });
     }
-    // Per-candidate gates over every unit, in `UnitCodesFor` order — the
-    // same order the serial `Evaluate` walks its unit loops, so the first
-    // failing unit (and hence the reported error text) matches
-    // byte-for-byte. Single-unit candidates reduce to the old
+    // Per-candidate gates over every unit, in `UnitCodesFor` order, so
+    // the first failing unit decides the reported error text whatever
+    // order the pool ran the units in. Single-unit candidates reduce to
     // one-key checks.
     const auto unit_compile_error = [&](size_t i) -> const std::string* {
         const SweepCandidate& c = candidates[i];
@@ -463,7 +463,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                             : std::string());
                     std::string err;
                     const store::LoadStatus status =
-                        astore->LoadSim(skey, &entry.arts, &err);
+                        astore->LoadSim(skey, entry.arts.get(), &err);
                     if (status == store::LoadStatus::kHit) {
                         entry.ok = true;
                         return;
@@ -486,10 +486,10 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                                                   c.arch.gate_improvement})
                                      .profile});
                         }
-                        entry.arts = BuildProgramSimArtifacts(
+                        *entry.arts = BuildProgramSimArtifacts(
                             *specs[i].program, punits, c.arch, RoundsOf(c));
                     } else {
-                        entry.arts = BuildSimArtifacts(
+                        *entry.arts = BuildSimArtifacts(
                             *c.code, *compile_cache.at(ck),
                             noise_cache.at(nk).profile, c.arch, RoundsOf(c),
                             specs[i]);
@@ -497,7 +497,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     num_sim_builds.fetch_add(1, std::memory_order_relaxed);
                     entry.ok = true;
                     if (astore != nullptr) {
-                        astore->StoreSim(skey, entry.arts);
+                        astore->StoreSim(skey, *entry.arts);
                     }
                 } catch (const std::exception& e) {
                     entry.error = e.what();
@@ -544,7 +544,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 const SimEntry& entry = sim_cache.at(*tasks[t].first);
                 const std::vector<analysis::Diagnostic> diags =
                     analysis::ValidateSimArtifacts(
-                        entry.arts.experiment, entry.arts.dem,
+                        entry.arts->experiment, entry.arts->dem,
                         analysis::SimValidationOptionsFor(*c.code,
                                                           specs[i]));
                 num_validations.fetch_add(1, std::memory_order_relaxed);
@@ -568,7 +568,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // ---- Stage 3c: certify the effective fault distance once per sim
     // key any certifying candidate references. A sub-distance (or
     // uncertifiable) result isolates the candidate exactly like a
-    // compile error, byte-identical to the serial Evaluate path.
+    // compile error.
     std::map<SimKey, std::string> sim_certification;
     {
         std::map<SimKey, size_t> exemplar;
@@ -602,7 +602,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     candidates[exemplar.at(*tasks[t].first)];
                 const SimEntry& entry = sim_cache.at(*tasks[t].first);
                 const std::vector<analysis::Diagnostic> diags =
-                    analysis::CheckDistance(entry.arts.dem,
+                    analysis::CheckDistance(entry.arts->dem,
                                             c.code->distance());
                 num_certifies.fetch_add(1, std::memory_order_relaxed);
                 if (!diags.empty()) {
@@ -622,13 +622,14 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         return it != sim_certification.end() && !it->second.empty();
     };
 
-    // ---- Stage 4: interleave every candidate's Monte-Carlo shards on
-    // the shared pool. Each candidate's shard streams and in-order
-    // commit logic are its own (sim::LerShardRun), so the totals are
-    // bit-identical to a serial Evaluate loop for every pool width.
-    std::vector<std::unique_ptr<ShardState>> shard_states(n);
-    std::vector<size_t> active;
-    std::int64_t total_shards = 0;
+    // ---- Stage 4: every candidate's Monte-Carlo shards on the shared
+    // pool through the one driver, sim::RunLerShards. Each run's shard
+    // streams and in-order commit are its own, so the totals are
+    // bit-identical to a one-candidate run at every pool width, and a
+    // decode failure isolates only its candidate.
+    std::vector<std::unique_ptr<sim::LerShardRun>> runs(n);
+    std::vector<std::string> run_errors(n);
+    std::vector<sim::LerShardRun*> active;
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
         if (!invalid[i].empty() || c.options.compile_only ||
@@ -646,79 +647,21 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             certify_failed(c, sk)) {
             continue;
         }
-        auto state = std::make_unique<ShardState>();
-        state->rounds = RoundsOf(c);
         sim::ParallelSamplerOptions sopts;
         sopts.seed = c.options.seed;
         sopts.shard_shots = c.options.shard_shots;
         sopts.decode_path = c.options.decode_path;
         sopts.correlated = c.options.correlated;
         try {
-            state->run = std::make_unique<sim::LerShardRun>(
-                sim_entry.arts.experiment, sim_entry.arts.dem, sopts,
+            runs[i] = std::make_unique<sim::LerShardRun>(
+                sim_entry.arts->experiment, sim_entry.arts->dem, sopts,
                 c.options.max_shots, c.options.target_logical_errors);
+            active.push_back(runs[i].get());
         } catch (const std::exception& e) {
-            state->failed.store(true, std::memory_order_relaxed);
-            state->error = e.what();
+            run_errors[i] = e.what();
         }
-        if (state->run) {
-            total_shards += state->run->num_shards();
-            active.push_back(i);
-        }
-        shard_states[i] = std::move(state);
     }
-    if (!active.empty()) {
-        std::atomic<int> cursor{0};
-        auto worker = [&]() {
-            // Per-worker decoders, one per candidate this worker has
-            // touched: decode scratch never crosses threads, and a
-            // worker sticks with a candidate while it has claimable
-            // shards before rotating on (cache-friendly interleave).
-            std::map<size_t, decoder::UnionFindDecoder> decoders;
-            const size_t m = active.size();
-            const size_t offset = static_cast<size_t>(
-                cursor.fetch_add(1, std::memory_order_relaxed)) % m;
-            for (;;) {
-                bool progressed = false;
-                for (size_t j = 0; j < m; ++j) {
-                    const size_t i = active[(offset + j) % m];
-                    ShardState& st = *shard_states[i];
-                    if (st.failed.load(std::memory_order_relaxed) ||
-                        !st.run->HasClaimableWork()) {
-                        continue;
-                    }
-                    try {
-                        auto it = decoders.find(i);
-                        if (it == decoders.end()) {
-                            it = decoders
-                                     .emplace(
-                                         i,
-                                         decoder::UnionFindDecoder(
-                                             st.run->dem(),
-                                             decoder::UnionFindDecoder::
-                                                 Options{st.run
-                                                             ->correlated()}))
-                                     .first;
-                        }
-                        while (st.run->RunOneShard(it->second)) {
-                            progressed = true;
-                        }
-                    } catch (const std::exception& e) {
-                        st.failed.store(true, std::memory_order_relaxed);
-                        std::lock_guard<std::mutex> lock(st.mu);
-                        if (st.error.empty()) {
-                            st.error = e.what();
-                        }
-                        progressed = true;
-                    }
-                }
-                if (!progressed) {
-                    return;
-                }
-            }
-        };
-        RunWorkers(threads, total_shards, worker);
-    }
+    sim::RunLerShards(threads, active);
 
     // ---- Assemble outcomes in candidate order.
     auto failed_stub = [](const std::string& error) {
@@ -737,9 +680,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             continue;
         }
         // The candidate's reported compile artifacts are its *primary*
-        // unit's; failure texts follow the serial `Evaluate` unit-loop
-        // precedence (first failing unit per phase, compile before
-        // validation before noise).
+        // unit's; failure texts follow unit order within a phase, and
+        // compile before validation before noise across phases.
         const CompileKey pck = CompileKeyOf(c, units[i][primary[i]]);
         out.compile = compile_cache.at(pck);
         if (const std::string* err = unit_compile_error(i)) {
@@ -772,6 +714,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             metrics.error = sim_entry.error;
             continue;
         }
+        out.sim = sim_entry.arts;
         if (sim_invalidated(c, sk)) {
             metrics.error = sim_validation.at(sk);
             continue;
@@ -780,47 +723,36 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             metrics.error = sim_certification.at(sk);
             continue;
         }
-        if (c.options.max_shots <= 0) {
-            // The sampler reports an empty estimate for a non-positive
-            // budget (Evaluate parity; sim artifacts are still built,
-            // validated, and reported on).
-            const LerEstimate ler =
-                FinishLerEstimate(0, 0, {}, 0, false, RoundsOf(c));
-            metrics.shots = ler.shots;
-            metrics.logical_errors = ler.logical_errors;
-            metrics.ler_per_shot = ler.ler_per_shot;
-            metrics.ler_per_round = ler.ler_per_round;
-            metrics.dem_hyperedges = sim_entry.arts.dem.num_hyperedges;
-            metrics.dem_undecomposable =
-                sim_entry.arts.dem.num_undecomposable;
-            metrics.dem_dropped_probability =
-                sim_entry.arts.dem.dropped_probability;
-            metrics.dem_undecomposable_probability =
-                sim_entry.arts.dem.undecomposable_probability;
-            metrics.ok = true;
-            continue;
+        // A non-positive budget samples nothing but still reports an
+        // (empty) estimate; the sim artifacts are built, validated, and
+        // reported on.
+        sim::LogicalErrorEstimate run;
+        if (c.options.max_shots > 0) {
+            if (!runs[i]) {
+                metrics.error = run_errors[i];
+                continue;
+            }
+            if (runs[i]->failure()) {
+                metrics.error = ErrorText(runs[i]->failure());
+                continue;
+            }
+            run = runs[i]->Finish();
         }
-        ShardState& st = *shard_states[i];
-        if (st.failed.load(std::memory_order_relaxed)) {
-            metrics.error = st.error;
-            continue;
-        }
-        const sim::LogicalErrorEstimate run = st.run->Finish();
         const LerEstimate ler = FinishLerEstimate(
             run.shots, run.logical_errors, run.per_observable_errors,
-            run.shards, run.early_stopped, st.rounds);
+            run.shards, run.early_stopped, RoundsOf(c));
         metrics.shots = ler.shots;
         metrics.logical_errors = ler.logical_errors;
         metrics.ler_per_shot = ler.ler_per_shot;
         metrics.ler_per_round = ler.ler_per_round;
         metrics.per_observable_errors = ler.per_observable_errors;
         metrics.per_observable_ler = ler.per_observable_ler;
-        metrics.dem_hyperedges = sim_entry.arts.dem.num_hyperedges;
-        metrics.dem_undecomposable = sim_entry.arts.dem.num_undecomposable;
-        metrics.dem_dropped_probability =
-            sim_entry.arts.dem.dropped_probability;
+        const sim::DetectorErrorModel& dem = sim_entry.arts->dem;
+        metrics.dem_hyperedges = dem.num_hyperedges;
+        metrics.dem_undecomposable = dem.num_undecomposable;
+        metrics.dem_dropped_probability = dem.dropped_probability;
         metrics.dem_undecomposable_probability =
-            sim_entry.arts.dem.undecomposable_probability;
+            dem.undecomposable_probability;
         metrics.ok = true;
     }
 

@@ -1,30 +1,33 @@
 /**
  * @file
- * Cached parallel design-space sweep engine (DESIGN.md §4): evaluates a
- * list of (code, architecture, options) candidates — the paper's
- * evaluation is exactly such a sweep over (distance, topology, trap
- * capacity, noise scale) — with
+ * The stage chain (DESIGN.md §4): evaluates a list of (code,
+ * architecture, options) candidates through compile -> annotate ->
+ * build-sim -> certify -> sample -> decode. The paper's evaluation is
+ * exactly such a sweep over (distance, topology, trap capacity, noise
+ * scale), and every evaluation in the library runs here: `core::Evaluate`
+ * is a one-candidate run, the sweep service and `tiqec_certify` batch
+ * their request lines into one run. The runner has
  *
  *  - a keyed artifact cache so the compiled schedule, the noise
  *    profile, and the DEM/decoder-graph are built once per unique
  *    candidate (seed/budget-only variations share everything), and
  *  - a single shared worker pool that runs compile/annotate/build-sim
  *    stages and then interleaves the Monte-Carlo shards of all
- *    candidates, instead of nesting a thread pool per candidate.
+ *    candidates (`sim::RunLerShards`), instead of nesting a thread pool
+ *    per candidate.
  *
- * Results are bit-identical to the serial `core::Evaluate` loop over
- * the same candidates for every pool width: each candidate's shard
- * streams are a pure function of its own seed, and shard outcomes
- * commit in shard-index order (see sim::LerShardRun). A candidate that
- * fails to compile is reported with `ok == false` and a message; the
- * rest of the sweep proceeds.
+ * Results are bit-identical for every batching and every pool width:
+ * each candidate's shard streams are a pure function of its own seed,
+ * and shard outcomes commit in shard-index order (see
+ * sim::LerShardRun). A candidate that fails any stage is reported with
+ * `ok == false` and a message; the rest of the sweep proceeds.
  *
  * Candidates choose their simulated workload through
- * `EvaluationOptions::workload` (memory | stability | surgery, see
- * workloads/experiment.h and DESIGN.md §5). The workload enters only
- * the experiment/DEM cache key, so e.g. a surgery and a stability
- * candidate on the same merged code share the compiled schedule and
- * noise profile.
+ * `EvaluationOptions::workload` (memory | stability | surgery |
+ * program, see workloads/experiment.h and DESIGN.md §5). The workload
+ * enters only the experiment/DEM cache key, so e.g. a surgery and a
+ * stability candidate on the same merged code share the compiled
+ * schedule and noise profile.
  */
 #ifndef TIQEC_CORE_SWEEP_H
 #define TIQEC_CORE_SWEEP_H
@@ -70,14 +73,17 @@ struct SweepCandidate
 };
 
 /** Result for one candidate: the `Evaluate` metrics plus the cached
- *  compile artifacts for drivers that interrogate the mapping
- *  (partition sizes, theoretical bounds, schedule export). */
+ *  stage artifacts for drivers that interrogate them (partition sizes,
+ *  theoretical bounds, schedule export, distance certification). */
 struct SweepOutcome
 {
     Metrics metrics;
     std::string label;
     /** Shared cache entry; never null. `compile->ok` mirrors failure. */
     std::shared_ptr<const CompileArtifacts> compile;
+    /** The candidate's experiment + DEM once built or loaded; null for
+     *  compile-only candidates and those that failed earlier. */
+    std::shared_ptr<const SimArtifacts> sim;
 };
 
 struct SweepRunnerOptions

@@ -6,8 +6,11 @@
  * decoding), and control-hardware resource estimates.
  *
  * This is the library's primary public entry point; the benchmark
- * binaries in bench/ are thin drivers over `Evaluate` and
- * `EstimateLogicalErrorRate`.
+ * binaries in bench/ are thin drivers over `Evaluate`,
+ * `core::SweepRunner` and `EstimateLogicalErrorRate`. `Evaluate` is a
+ * one-candidate `SweepRunner` run (core/sweep.h), the library's one
+ * stage chain, so a single evaluation and a batched sweep cannot drift
+ * apart.
  */
 #ifndef TIQEC_CORE_TOOLFLOW_H
 #define TIQEC_CORE_TOOLFLOW_H
@@ -53,18 +56,13 @@ struct EvaluationOptions
     /** Skip the (expensive) logical-error simulation. */
     bool compile_only = false;
     /** Simulated workload (DESIGN.md §5). Memory is the paper's
-     *  logical-identity benchmark; surgery and stability run the
-     *  joint-parity measurement on a merged double patch and require
-     *  the candidate's code to be a `qec::MergedPatchCode`; a program
-     *  workload carries a `workloads::BoundProgram` whose primary phase
-     *  code must be the candidate's code. A bare `WorkloadKind` assigns
-     *  here unchanged (the deprecated enum-era shim; DESIGN.md §5.4). */
-    workloads::WorkloadSpec workload = workloads::WorkloadKind::kMemory;
-    /** Protected logical memory (memory workload only).
-     *  @deprecated Enum-era shim: prefer `workload.basis`. A kZ default
-     *  here lets `workload.basis` win; setting this field still works
-     *  through `workload_spec()`. */
-    sim::MemoryBasis basis = sim::MemoryBasis::kZ;
+     *  logical-identity benchmark and reads `workload.basis`; surgery
+     *  and stability run the joint-parity measurement on a merged
+     *  double patch and require the candidate's code to be a
+     *  `qec::MergedPatchCode`; a program workload carries a
+     *  `workloads::BoundProgram` whose primary phase code must be the
+     *  candidate's code. */
+    workloads::WorkloadSpec workload;
     /** Monte-Carlo worker threads; 0 means hardware concurrency. The
      *  result is bit-identical for every value (see DESIGN.md §3.4). */
     int num_threads = 0;
@@ -94,17 +92,9 @@ struct EvaluationOptions
      *  to catch. */
     bool certify_distance = false;
 
-    /** The experiment shape these options select: the `workload` spec,
-     *  with the deprecated top-level `basis` field folded in when the
-     *  spec itself left the basis defaulted. */
-    workloads::WorkloadSpec workload_spec() const
-    {
-        workloads::WorkloadSpec spec = workload;
-        if (spec.basis == sim::MemoryBasis::kZ) {
-            spec.basis = basis;
-        }
-        return spec;
-    }
+    /** The experiment shape these options select; read `workload`
+     *  directly. */
+    workloads::WorkloadSpec workload_spec() const { return workload; }
 };
 
 struct Metrics
@@ -167,7 +157,9 @@ struct LerEstimate
     bool early_stopped = false;
 };
 
-/** Runs the full tool flow for one (code, architecture) pair. */
+/** Runs the full tool flow for one (code, architecture) pair: a
+ *  one-candidate `SweepRunner` run on a pool of `options.num_threads`
+ *  workers. `code` is borrowed for the duration of the call. */
 Metrics Evaluate(const qec::StabilizerCode& code,
                  const ArchitectureConfig& arch,
                  const EvaluationOptions& options = {});
@@ -183,8 +175,7 @@ LerEstimate EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
                                      int rounds,
                                      const EvaluationOptions& options);
 
-/** As above with a pre-built detector error model of `experiment` —
- *  the cached-DEM entry point the sweep engine uses. */
+/** As above with a pre-built detector error model of `experiment`. */
 LerEstimate EstimateLogicalErrorRate(const sim::NoisyCircuit& experiment,
                                      const sim::DetectorErrorModel& dem,
                                      int rounds,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/worker_pool.h"
@@ -38,26 +40,24 @@ ShardSizeOf(std::int64_t shard, std::int64_t budget, int shard_shots)
 
 ParallelSampler::ParallelSampler(const NoisyCircuit& circuit,
                                  const ParallelSamplerOptions& options)
-    : circuit_(&circuit),
-      seed_(options.seed),
-      num_threads_(ResolveWorkerThreads(options.num_threads)),
-      shard_shots_(ResolveShardShots(options.shard_shots)),
-      decode_path_(options.decode_path),
-      correlated_(options.correlated)
+    : circuit_(&circuit), options_(options)
 {
+    options_.num_threads = ResolveWorkerThreads(options.num_threads);
+    options_.shard_shots = ResolveShardShots(options.shard_shots);
 }
 
 int
 ParallelSampler::ShardSize(std::int64_t shard, std::int64_t budget) const
 {
-    return ShardSizeOf(shard, budget, shard_shots_);
+    return ShardSizeOf(shard, budget, options_.shard_shots);
 }
 
 FrameSimulator
 ParallelSampler::ShardSimulator(std::int64_t shard) const
 {
     return FrameSimulator(*circuit_,
-                          Rng(seed_, static_cast<std::uint64_t>(shard)));
+                          Rng(options_.seed,
+                              static_cast<std::uint64_t>(shard)));
 }
 
 SampleBatch
@@ -77,11 +77,11 @@ ParallelSampler::Sample(std::int64_t shots)
         return merged;
     }
     const std::int64_t num_shards =
-        (shots + shard_shots_ - 1) / shard_shots_;
-    // shard_shots_ is a multiple of 64, so each shard owns a disjoint,
+        (shots + options_.shard_shots - 1) / options_.shard_shots;
+    // shard_shots is a multiple of 64, so each shard owns a disjoint,
     // word-aligned slice of the merged planes and workers can write
     // without synchronisation.
-    const int words_per_shard = shard_shots_ / 64;
+    const int words_per_shard = options_.shard_shots / 64;
     std::atomic<std::int64_t> next_shard{0};
 
     auto worker = [&]() {
@@ -109,7 +109,7 @@ ParallelSampler::Sample(std::int64_t shots)
             }
         }
     };
-    RunWorkers(num_threads_, num_shards, worker);
+    RunWorkers(options_.num_threads, num_shards, worker);
     return merged;
 }
 
@@ -150,6 +150,16 @@ LerShardRun::HasClaimableWork() const
 {
     return !stop_.load(std::memory_order_relaxed) &&
            next_shard_.load(std::memory_order_relaxed) < num_shards_;
+}
+
+void
+LerShardRun::Fail(std::exception_ptr error)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!failure_) {
+        failure_ = std::move(error);
+    }
+    stop_.store(true, std::memory_order_relaxed);
 }
 
 bool
@@ -270,6 +280,56 @@ LerShardRun::Finish() const
     return out;
 }
 
+void
+RunLerShards(int num_threads, const std::vector<LerShardRun*>& runs)
+{
+    std::int64_t total_shards = 0;
+    for (const LerShardRun* run : runs) {
+        total_shards += run->num_shards();
+    }
+    if (total_shards == 0) {
+        return;
+    }
+    std::atomic<size_t> cursor{0};
+    RunWorkers(ResolveWorkerThreads(num_threads), total_shards, [&]() {
+        // Per-worker decoders, one per run this worker has touched:
+        // decode scratch never crosses threads, and a worker sticks with
+        // a run while it has claimable shards before rotating on
+        // (cache-friendly interleave).
+        std::map<size_t, decoder::UnionFindDecoder> decoders;
+        const size_t m = runs.size();
+        const size_t offset =
+            cursor.fetch_add(1, std::memory_order_relaxed) % m;
+        for (;;) {
+            bool progressed = false;
+            for (size_t j = 0; j < m; ++j) {
+                const size_t i = (offset + j) % m;
+                LerShardRun& run = *runs[i];
+                if (!run.HasClaimableWork()) {
+                    continue;
+                }
+                try {
+                    decoder::UnionFindDecoder& uf =
+                        decoders
+                            .try_emplace(i, *run.dem_,
+                                         decoder::UnionFindDecoder::Options{
+                                             run.correlated_})
+                            .first->second;
+                    while (run.RunOneShard(uf)) {
+                        progressed = true;
+                    }
+                } catch (...) {
+                    run.Fail(std::current_exception());
+                    progressed = true;
+                }
+            }
+            if (!progressed) {
+                return;
+            }
+        }
+    });
+}
+
 LogicalErrorEstimate
 ParallelSampler::EstimateLogicalErrors(const DetectorErrorModel& dem,
                                        std::int64_t max_shots,
@@ -278,20 +338,12 @@ ParallelSampler::EstimateLogicalErrors(const DetectorErrorModel& dem,
     if (max_shots <= 0) {
         return LogicalErrorEstimate{};
     }
-    ParallelSamplerOptions options;
-    options.seed = seed_;
-    options.num_threads = num_threads_;
-    options.shard_shots = shard_shots_;
-    options.decode_path = decode_path_;
-    options.correlated = correlated_;
-    LerShardRun run(*circuit_, dem, options, max_shots,
+    LerShardRun run(*circuit_, dem, options_, max_shots,
                     target_logical_errors);
-    RunWorkers(num_threads_, run.num_shards(), [&run, &dem]() {
-        decoder::UnionFindDecoder uf(
-            dem, decoder::UnionFindDecoder::Options{run.correlated()});
-        while (run.RunOneShard(uf)) {
-        }
-    });
+    RunLerShards(options_.num_threads, {&run});
+    if (run.failure()) {
+        std::rethrow_exception(run.failure());
+    }
     return run.Finish();
 }
 

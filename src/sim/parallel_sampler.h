@@ -19,12 +19,18 @@
  * raced ahead into shards beyond the stop point have their results
  * discarded, so the reported totals are always the same contiguous
  * shard prefix regardless of scheduling.
+ *
+ * One driver, `RunLerShards`, runs the shards of any number of runs
+ * on one pool; it is the only code that spawns Monte-Carlo workers.
+ * `core::SweepRunner` passes every candidate's run at once, and
+ * `ParallelSampler::EstimateLogicalErrors` is a one-run call.
  */
 #ifndef TIQEC_SIM_PARALLEL_SAMPLER_H
 #define TIQEC_SIM_PARALLEL_SAMPLER_H
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -85,18 +91,27 @@ struct LogicalErrorEstimate
     bool early_stopped = false;
 };
 
+class LerShardRun;
+
+/**
+ * The one Monte-Carlo driver: runs every shard of every run in `runs`
+ * on a single fork/join region of `num_threads` workers (<= 0 means
+ * std::thread::hardware_concurrency()). A worker sticks with a run
+ * while it has claimable shards, then rotates on, so the shards of
+ * many runs interleave on one pool (the no-nested-pools rule,
+ * DESIGN.md §4.3). Each run's totals are bit-identical to running it
+ * alone at any width: its shard streams and in-order commit are its
+ * own. A shard exception (e.g. a decode failure) is recorded on its
+ * run (`LerShardRun::failure`), which stops claiming shards; the other
+ * runs proceed. Returns once every run is finished or failed.
+ */
+void RunLerShards(int num_threads, const std::vector<LerShardRun*>& runs);
+
 /**
  * Shard-level state of one logical-error-rate run: the claim counter,
  * stop flag, and in-order commit buffer behind the determinism contract
- * above, decoupled from thread ownership so any external worker pool can
- * drive the shards. `ParallelSampler::EstimateLogicalErrors` drives one
- * run with its own workers; `core::SweepRunner` interleaves the shards
- * of many runs on a single shared pool (the no-nested-pools rule,
- * DESIGN.md §4.3).
- *
- * Thread-safety: `RunOneShard` and `HasClaimableWork` may be called
- * concurrently; `Finish` only after every in-flight `RunOneShard` has
- * returned (i.e. after the driving pool joined).
+ * above, decoupled from thread ownership so `RunLerShards` can drive
+ * the shards of many runs on one pool.
  */
 class LerShardRun
 {
@@ -105,42 +120,30 @@ class LerShardRun
      * @param circuit Noisy experiment; must outlive the run and have at
      *   least one logical observable (throws std::invalid_argument).
      * @param dem Detector error model of `circuit`; must outlive the
-     *   run. Decoders passed to `RunOneShard` must be built from it.
+     *   run. The driver's decoders are built from it.
      * @param options Sampler options; `num_threads` is ignored (the
-     *   driving pool owns the threads), the rest define the shard
-     *   streams exactly as in `ParallelSampler`.
+     *   driver owns the threads), the rest define the shard streams
+     *   exactly as in `ParallelSampler`.
      */
     LerShardRun(const NoisyCircuit& circuit, const DetectorErrorModel& dem,
                 const ParallelSamplerOptions& options,
                 std::int64_t max_shots, std::int64_t target_logical_errors);
 
-    const DetectorErrorModel& dem() const { return *dem_; }
     std::int64_t num_shards() const { return num_shards_; }
-    /** The decoder configuration this run expects: decoders passed to
-     *  `RunOneShard` must be built with Options{correlated()}. */
-    bool correlated() const { return correlated_; }
 
-    /** False once every shard has been claimed or the early-stop flag is
-     *  set — i.e. a worker visiting this run would find nothing to do.
-     *  (Claimed shards may still be in flight on other workers.) */
-    bool HasClaimableWork() const;
-
-    /**
-     * Claims the next shard and runs it to its commit: simulate with the
-     * shard's counter-based RNG stream, decode with `decoder` (built
-     * from `dem()`; per-worker, so decode scratch never crosses
-     * threads), and fold the outcome into the in-order commit state.
-     * @return false if nothing was claimable (budget exhausted or
-     *   early-stopped); true if a shard was claimed (even one abandoned
-     *   by the cooperative stop flag).
-     */
-    bool RunOneShard(decoder::UnionFindDecoder& decoder);
+    /** The first exception a shard of this run threw, or null. Call
+     *  only after `RunLerShards` returned; a failed run's totals are
+     *  meaningless. */
+    std::exception_ptr failure() const { return failure_; }
 
     /** Totals of the committed contiguous shard prefix. Call only after
-     *  the driving pool has joined. */
+     *  `RunLerShards` returned. */
     LogicalErrorEstimate Finish() const;
 
   private:
+    friend void RunLerShards(int num_threads,
+                             const std::vector<LerShardRun*>& runs);
+
     /** One shard's decode outcome, buffered until its turn to commit. */
     struct ShardOutcome
     {
@@ -148,6 +151,27 @@ class LerShardRun
         std::int64_t errors = 0;
         std::vector<std::int64_t> per_obs;
     };
+
+    /** False once every shard has been claimed or the stop flag is set
+     *  (target reached or run failed) — i.e. a worker visiting this run
+     *  would find nothing to do. Claimed shards may still be in flight
+     *  on other workers. Safe to call concurrently. */
+    bool HasClaimableWork() const;
+
+    /**
+     * Claims the next shard and runs it to its commit: simulate with the
+     * shard's counter-based RNG stream, decode with `decoder` (built
+     * from `dem_`; per-worker, so decode scratch never crosses threads),
+     * and fold the outcome into the in-order commit state. Safe to call
+     * concurrently.
+     * @return false if nothing was claimable (budget exhausted, target
+     *   reached or run failed); true if a shard was claimed (even one
+     *   abandoned by the cooperative stop flag).
+     */
+    bool RunOneShard(decoder::UnionFindDecoder& decoder);
+
+    /** Keeps the first failure and stops the run. */
+    void Fail(std::exception_ptr error);
 
     const NoisyCircuit* circuit_;
     const DetectorErrorModel* dem_;
@@ -174,6 +198,7 @@ class LerShardRun
     std::int64_t committed_errors_ = 0;
     std::vector<std::int64_t> committed_per_obs_;
     bool target_reached_ = false;
+    std::exception_ptr failure_;  // guarded by mu_
 };
 
 class ParallelSampler
@@ -182,8 +207,8 @@ class ParallelSampler
     explicit ParallelSampler(const NoisyCircuit& circuit,
                              const ParallelSamplerOptions& options = {});
 
-    int num_threads() const { return num_threads_; }
-    int shard_shots() const { return shard_shots_; }
+    int num_threads() const { return options_.num_threads; }
+    int shard_shots() const { return options_.shard_shots; }
 
     /**
      * Samples exactly `shots` shots into one merged batch.
@@ -200,8 +225,9 @@ class ParallelSampler
      * target disables early stopping (the full budget is sampled).
      * Decoding runs the word-parallel batch pipeline unless the options
      * selected DecodePath::kScalar; the counts are bit-identical either
-     * way. A worker exception (e.g. a decode failure) is rethrown on
-     * the calling thread after all workers have joined.
+     * way. A one-run `RunLerShards` call: a shard exception (e.g. a
+     * decode failure) is rethrown on the calling thread after all
+     * workers have joined.
      */
     LogicalErrorEstimate EstimateLogicalErrors(
         const DetectorErrorModel& dem, std::int64_t max_shots,
@@ -217,11 +243,9 @@ class ParallelSampler
     FrameSimulator ShardSimulator(std::int64_t shard) const;
 
     const NoisyCircuit* circuit_;
-    std::uint64_t seed_;
-    int num_threads_;
-    int shard_shots_;
-    DecodePath decode_path_;
-    bool correlated_;
+    /** The constructor's options with `num_threads` and `shard_shots`
+     *  resolved. */
+    ParallelSamplerOptions options_;
 };
 
 }  // namespace tiqec::sim

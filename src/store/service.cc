@@ -52,13 +52,6 @@ ResultLine(const std::string& request, const core::SweepOutcome& outcome)
 
 }  // namespace
 
-bool
-ParseSweepRequest(const std::string& line, core::SweepCandidate* out,
-                  std::string* error)
-{
-    return core::ParseRequestCandidate(line, out, error);
-}
-
 SweepServiceResult
 RunSweepService(const std::string& request_text,
                 const SweepServiceOptions& options)
@@ -86,7 +79,8 @@ RunSweepService(const std::string& request_text,
         Request req;
         req.line = line;
         core::SweepCandidate candidate;
-        if (ParseSweepRequest(line, &candidate, &req.parse_error)) {
+        if (core::ParseRequestCandidate(line, &candidate,
+                                        &req.parse_error)) {
             req.candidate_index = candidates.size();
             candidates.push_back(std::move(candidate));
         }
@@ -105,12 +99,8 @@ RunSweepService(const std::string& request_text,
     result.result_lines.reserve(requests.size());
     for (const Request& req : requests) {
         if (!req.parse_error.empty()) {
-            common::JsonRecord r;
-            r.Add("label", "");
-            r.Add("request", req.line);
-            r.Add("ok", false);
-            r.Add("error", "request parse: " + req.parse_error);
-            result.result_lines.push_back(r.Object());
+            result.result_lines.push_back(
+                core::ParseErrorRecord(req.line, req.parse_error));
             continue;
         }
         const core::SweepOutcome& outcome =

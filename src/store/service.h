@@ -54,14 +54,6 @@ struct SweepServiceResult
     core::SweepRunStats stats;
 };
 
-/** Parses one request line into a sweep candidate. Returns false with a
- *  message on malformed input; `*out` is untouched on failure.
- *  @deprecated Thin shim over `core::ParseRequestCandidate`
- *  (core/request.h), kept for source compatibility; new callers should
- *  use the core parser directly. */
-bool ParseSweepRequest(const std::string& line, core::SweepCandidate* out,
-                      std::string* error);
-
 /** Runs every request in `request_text` through one `core::SweepRunner`
  *  over `options.store`. Never throws on malformed requests or failed
  *  candidates — both isolate into their result line. */

@@ -69,11 +69,9 @@ WorkloadKind ParseWorkloadKind(const std::string& name);
  * the program's primary phase code).
  *
  * This is the single workload-selection surface consumed uniformly by
- * `core::Evaluate`, `core::BuildSimArtifacts`, and `core::SweepRunner`
- * (the old bare-enum path on `EvaluationOptions` remains as a thin
- * deprecated shim; see the DESIGN.md §5.4 migration note). A bare
- * `WorkloadKind` converts implicitly, and `spec == WorkloadKind::k...`
- * comparisons keep working, so enum-era call sites compile unchanged.
+ * `core::SweepRunner` (and so `core::Evaluate`) and
+ * `core::BuildSimArtifacts`. Select a workload by setting `kind` (and
+ * `basis` for memory); a bare `WorkloadKind` does not convert.
  */
 struct WorkloadSpec
 {
@@ -84,7 +82,7 @@ struct WorkloadSpec
     std::shared_ptr<const BoundProgram> program;
 
     WorkloadSpec() = default;
-    WorkloadSpec(WorkloadKind kind) : kind(kind) {}  // NOLINT(implicit)
+    explicit WorkloadSpec(WorkloadKind kind) : kind(kind) {}
     WorkloadSpec(WorkloadKind kind, sim::MemoryBasis basis)
         : kind(kind), basis(basis)
     {
@@ -96,11 +94,6 @@ struct WorkloadSpec
         WorkloadSpec spec(WorkloadKind::kProgram);
         spec.program = std::move(bound);
         return spec;
-    }
-
-    friend bool operator==(const WorkloadSpec& spec, WorkloadKind kind)
-    {
-        return spec.kind == kind;
     }
 };
 

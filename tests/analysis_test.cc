@@ -598,7 +598,7 @@ TEST(AnalysisWiring, SeamRoundDeletionIsCaughtAsSubDistance)
         3, qec::SurgeryParity::kZZ);
     core::ArchitectureConfig arch;
     core::EvaluationOptions options;
-    options.workload = workloads::WorkloadKind::kSurgery;
+    options.workload.kind = workloads::WorkloadKind::kSurgery;
     options.rounds = 2;  // one seam stabilizer round deleted
     options.certify_distance = true;
     options.max_shots = 1 << 10;

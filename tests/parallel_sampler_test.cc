@@ -3,10 +3,12 @@
  * Tests for the sharded multi-threaded Monte-Carlo sampling engine:
  * the determinism contract (bit-identical results for every thread
  * count), deterministic cooperative early stopping, RNG stream
- * independence, and the end-to-end memory-Z acceptance check through
- * core::Evaluate.
+ * independence, failure isolation in the one Monte-Carlo driver
+ * (sim::RunLerShards), and the end-to-end memory-Z acceptance check
+ * through core::Evaluate.
  */
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -266,6 +268,40 @@ TEST(ParallelSamplerTest, WorkerExceptionPropagates)
                 std::runtime_error)
                 << threads << " threads";
         }
+    }
+}
+
+TEST(ParallelSamplerTest, RunLerShardsIsolatesFailingRun)
+{
+    // The one Monte-Carlo driver interleaves a healthy run with one
+    // whose boundary-less DEM makes the decoder throw. The failure stays
+    // on its own run: the healthy totals equal the healthy run's solo
+    // estimate at every pool width.
+    const NoisyCircuit circuit = MakeNoisyChain();
+    const DetectorErrorModel dem = ChainDem();
+    DetectorErrorModel boundaryless;
+    boundaryless.num_detectors = 2;
+    boundaryless.num_observables = 1;
+    boundaryless.edges.push_back({0, 1, 0.05, 0});
+    ParallelSampler solo_sampler(circuit, Opts(1));
+    const LogicalErrorEstimate solo =
+        solo_sampler.EstimateLogicalErrors(dem, 1 << 14, 50);
+    ASSERT_GT(solo.logical_errors, 0);
+    for (const int threads : {1, 2, 8}) {
+        LerShardRun healthy(circuit, dem, Opts(threads), 1 << 14, 50);
+        LerShardRun broken(circuit, boundaryless, Opts(threads), 1 << 14,
+                           1 << 30);
+        RunLerShards(threads, {&broken, &healthy});
+        EXPECT_FALSE(healthy.failure()) << threads << " threads";
+        const LogicalErrorEstimate got = healthy.Finish();
+        EXPECT_EQ(got.shots, solo.shots) << threads << " threads";
+        EXPECT_EQ(got.logical_errors, solo.logical_errors);
+        EXPECT_EQ(got.per_observable_errors, solo.per_observable_errors);
+        EXPECT_EQ(got.shards, solo.shards);
+        EXPECT_EQ(got.early_stopped, solo.early_stopped);
+        ASSERT_TRUE(broken.failure()) << threads << " threads";
+        EXPECT_THROW(std::rethrow_exception(broken.failure()),
+                     std::runtime_error);
     }
 }
 

@@ -6,6 +6,7 @@
  * covering rectangular patches and WISE scheduling.
  */
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,20 @@ TEST(FailureInjectionTest, TinyDeviceRejectedCleanly)
         compiler::CompileParityCheckRounds(code, 1, graph, timing);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("too few traps"), std::string::npos);
+}
+
+/** Device synthesis divides by (capacity - 1); a capacity below 2 must
+ *  throw instead of dividing by zero, on every path that sizes a device
+ *  (the reference compile in tiqec_certify included). */
+TEST(FailureInjectionTest, CapacityBelowTwoRejectedBySynthesis)
+{
+    const qec::RotatedSurfaceCode code(3);
+    for (const int capacity : {1, 0, -3}) {
+        EXPECT_THROW(compiler::MakeDeviceFor(code, TopologyKind::kGrid,
+                                             capacity),
+                     std::invalid_argument)
+            << capacity;
+    }
 }
 
 struct SweepCase

@@ -3,12 +3,15 @@
 // contract, the sweep engine's warm-store zero-compile acceptance pin,
 // corruption isolation, and the batch sweep service.
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "analysis/analysis.h"
 #include "common/atomic_file.h"
 #include "core/pipeline.h"
+#include "core/request.h"
 #include "core/sweep.h"
 #include "noise/profile_io.h"
 #include "qec/code.h"
@@ -24,6 +28,7 @@
 #include "store/artifact_store.h"
 #include "store/keys.h"
 #include "store/service.h"
+#include "workloads/experiment.h"
 
 namespace tiqec {
 namespace {
@@ -248,6 +253,47 @@ TEST(StoreKeysTest, FileNameIsSixteenHexPlusArt)
 }
 
 // ------------------------------------------------------------ store API
+
+TEST(AtomicFileTest, ConcurrentWritersNeverExposeAPartialFile)
+{
+    // Pool workers of one sweep, and processes sharing a store, write
+    // one content-addressed path at the same time. Every write must
+    // succeed, and every read must see the whole content or no file.
+    const std::string dir = FreshDir("atomic_concurrent");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/artifact.art";
+    const std::string content(1 << 18, 'x');
+    std::atomic<bool> done{false};
+    std::atomic<int> torn_reads{0};
+    std::thread reader([&] {
+        while (!done.load()) {
+            std::string got;
+            if (common::ReadFile(path, &got) && got != content) {
+                torn_reads.fetch_add(1);
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 4; ++w) {
+        writers.emplace_back([&] {
+            for (int i = 0; i < 25; ++i) {
+                std::string error;
+                EXPECT_TRUE(common::AtomicWriteFile(path, content, &error))
+                    << error;
+            }
+        });
+    }
+    for (std::thread& writer : writers) {
+        writer.join();
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(torn_reads.load(), 0);
+    // No temp file is left behind.
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+}
 
 TEST(ArtifactStoreTest, CompileMissThenHitRoundTrip)
 {
@@ -557,16 +603,16 @@ TEST(SweepServiceTest, ParseRejectsMalformedRequests)
 {
     core::SweepCandidate c;
     std::string error;
-    EXPECT_FALSE(store::ParseSweepRequest("distance=3", &c, &error));
+    EXPECT_FALSE(core::ParseRequestCandidate("distance=3", &c, &error));
     EXPECT_NE(error.find("family"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest("family=rotated", &c, &error));
+    EXPECT_FALSE(core::ParseRequestCandidate("family=rotated", &c, &error));
     EXPECT_NE(error.find("distance"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=3 nonsense=1", &c, &error));
     EXPECT_NE(error.find("unknown key"), std::string::npos);
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=three", &c, &error));
-    EXPECT_FALSE(store::ParseSweepRequest(
+    EXPECT_FALSE(core::ParseRequestCandidate(
         "family=rotated distance=3 basis=q", &c, &error));
 }
 
@@ -574,7 +620,7 @@ TEST(SweepServiceTest, ParseFillsCandidate)
 {
     core::SweepCandidate c;
     std::string error;
-    ASSERT_TRUE(store::ParseSweepRequest(
+    ASSERT_TRUE(core::ParseRequestCandidate(
         "family=rotated distance=3 topology=switch capacity=4 "
         "wiring=wise improvement=5 shots=99 target_errors=7 seed=11 "
         "basis=x compile_only=1 label=custom",
@@ -588,9 +634,31 @@ TEST(SweepServiceTest, ParseFillsCandidate)
     EXPECT_EQ(c.options.max_shots, 99);
     EXPECT_EQ(c.options.target_logical_errors, 7);
     EXPECT_EQ(c.options.seed, 11u);
-    EXPECT_EQ(c.options.basis, sim::MemoryBasis::kX);
+    EXPECT_EQ(c.options.workload.basis, sim::MemoryBasis::kX);
     EXPECT_TRUE(c.options.compile_only);
     EXPECT_EQ(c.label, "custom");
+
+    // `basis=` and `workload=` fill different fields of the workload
+    // spec, so their token order cannot matter: both orders give the
+    // same spec and the same sim-store key.
+    const auto sim_key = [](const std::string& line) {
+        core::RequestSpec spec;
+        std::string err;
+        EXPECT_TRUE(core::ParseRequestLine(line, &spec, &err)) << err;
+        const workloads::WorkloadSpec& w = spec.options.workload;
+        EXPECT_EQ(w.kind, workloads::WorkloadKind::kMemory);
+        EXPECT_EQ(w.basis, sim::MemoryBasis::kX);
+        const auto code = qec::MakeCode(spec.family, spec.distance);
+        return store::SimStoreKey(
+                   store::NoiseStoreKey(
+                       store::CompileStoreKey(*code, spec.arch, 1, nullptr),
+                       spec.arch.gate_improvement),
+                   spec.distance, static_cast<int>(w.basis),
+                   static_cast<int>(w.kind))
+            .canonical;
+    };
+    EXPECT_EQ(sim_key("family=rotated distance=3 basis=x workload=memory"),
+              sim_key("family=rotated distance=3 workload=memory basis=x"));
 }
 
 TEST(SweepServiceTest, BatchIsolatesMalformedLines)
@@ -612,6 +680,26 @@ TEST(SweepServiceTest, BatchIsolatesMalformedLines)
               std::string::npos);
     EXPECT_NE(result.summary_line.find("\"requests\":2"),
               std::string::npos);
+}
+
+TEST(SweepServiceTest, ParseErrorKeepsRequestLabel)
+{
+    // The record takes the line's last label= token, exactly as a
+    // successful parse would; no label= token leaves it empty.
+    const store::SweepServiceResult result = store::RunSweepService(
+        "family=rotated distance=3 capacity=zz label=mine\n"
+        "label=first family=rotated distance=x label=second\n"
+        "family=rotated distance=oops\n",
+        store::SweepServiceOptions{});
+    ASSERT_EQ(result.result_lines.size(), 3u);
+    EXPECT_EQ(result.result_lines[0],
+              "{\"label\":\"mine\",\"request\":\"family=rotated "
+              "distance=3 capacity=zz label=mine\",\"ok\":false,"
+              "\"error\":\"request parse: bad integer 'zz' in "
+              "capacity\"}");
+    EXPECT_EQ(result.result_lines[1].rfind("{\"label\":\"second\",", 0),
+              0u);
+    EXPECT_EQ(result.result_lines[2].rfind("{\"label\":\"\",", 0), 0u);
 }
 
 }  // namespace

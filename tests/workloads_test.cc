@@ -291,7 +291,7 @@ TEST(MemoryInterfaceTest, MemoryWorkloadSweepIsThreadInvariant)
     c.arch.gate_improvement = 1.0;
     c.options.max_shots = 1 << 12;
     c.options.target_logical_errors = 0;
-    ASSERT_EQ(c.options.workload, WorkloadKind::kMemory);
+    ASSERT_EQ(c.options.workload.kind, WorkloadKind::kMemory);
     const core::Metrics serial =
         core::Evaluate(*c.code, c.arch, c.options);
     ASSERT_TRUE(serial.ok) << serial.error;
@@ -434,7 +434,7 @@ SurgerySweepCandidates()
             c.code = code;
             c.arch.trap_capacity = 2;
             c.arch.gate_improvement = 1.0;
-            c.options.workload = kind;
+            c.options.workload.kind = kind;
             c.options.max_shots = 1 << 13;
             c.options.target_logical_errors = 0;  // fixed budget
             c.label = WorkloadKindName(kind) + "_d" + std::to_string(d);
@@ -493,7 +493,7 @@ TEST(SurgerySweepTest, BatchAndScalarDecodePathsAgreeOnThreeObservables)
     arch.trap_capacity = 2;
     arch.gate_improvement = 1.0;
     core::EvaluationOptions opts;
-    opts.workload = WorkloadKind::kSurgery;
+    opts.workload.kind = WorkloadKind::kSurgery;
     opts.max_shots = 1 << 13;
     opts.target_logical_errors = 0;
     opts.decode_path = sim::DecodePath::kBatch;
@@ -521,7 +521,7 @@ TEST(SurgerySweepTest, WorkloadsShareCompileArtifactsOnTheSameDevice)
         c.code = code;
         c.arch.trap_capacity = 2;
         c.arch.gate_improvement = 5.0;
-        c.options.workload = kind;
+        c.options.workload.kind = kind;
         c.options.max_shots = 1 << 10;
         c.options.target_logical_errors = 0;
         candidates.push_back(std::move(c));
@@ -554,7 +554,7 @@ TEST(SurgerySweepTest, WorkloadMismatchFailsOnlyThatCandidate)
     good.options.max_shots = 1 << 10;
     good.options.target_logical_errors = 0;
     core::SweepCandidate bad = good;
-    bad.options.workload = WorkloadKind::kSurgery;
+    bad.options.workload.kind = WorkloadKind::kSurgery;
 
     const std::vector<core::Metrics> swept =
         core::SweepRunner().Run({good, bad, good});
@@ -582,7 +582,7 @@ TEST(SurgerySweepTest, StabilityLerFallsWithMergedRounds)
     arch.trap_capacity = 2;
     arch.gate_improvement = 5.0;
     core::EvaluationOptions opts;
-    opts.workload = WorkloadKind::kStability;
+    opts.workload.kind = WorkloadKind::kStability;
     opts.max_shots = 1 << 14;
     opts.target_logical_errors = 0;
 

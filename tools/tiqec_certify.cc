@@ -7,25 +7,29 @@
  *   tiqec_certify <request-file> <output-jsonl> \
  *       [--store DIR] [--reference] [--max-weight W]
  *
- * For every request the tool builds the experiment + DEM exactly like
- * `core::Evaluate` would — with `--store DIR` through the artifact
- * store's key chain (loading what a previous sweep already built,
- * computing and persisting on a miss) — then runs the static distance
- * certifier and reports the per-observable effective distance and
- * witness. `--reference` compiles fresh through the paper-faithful
- * reference pipeline instead; it bypasses `--store` because store keys
- * deliberately do not encode the pipeline choice.
+ * By default every request's experiment + DEM comes from one
+ * `core::SweepRunner` run over the whole batch — with `--store DIR`
+ * read through and written through the artifact store, so a warm
+ * store performs zero compiles — and the tool then runs the static
+ * distance certifier on each DEM and reports the per-observable
+ * effective distance and witness. The summary carries the runner's
+ * stage and store counts. `--reference` compiles fresh through the
+ * paper-faithful reference pipeline instead, the oracle the fast
+ * compiler is checked against; it bypasses `--store` because store
+ * keys deliberately do not encode the pipeline choice.
  *
  * Exit status: 0 when every request certified at its expected distance;
  * 2 on usage or I/O errors; 1 otherwise (the JSONL still carries every
  * per-request diagnostic).
  */
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.h"
@@ -36,9 +40,9 @@
 #include "compiler/compiler.h"
 #include "core/pipeline.h"
 #include "core/request.h"
+#include "core/sweep.h"
 #include "core/toolflow.h"
 #include "store/artifact_store.h"
-#include "store/keys.h"
 #include "workloads/experiment.h"
 #include "workloads/program.h"
 
@@ -62,191 +66,101 @@ struct CertifyConfig
     tiqec::analysis::DistanceCertifierOptions certifier;
 };
 
-/** Builds the request's sim artifacts the same way the sweep engine
- *  does: through the store's key chain when a store is configured (fast
- *  pipeline only), fresh otherwise. A program workload compiles and
- *  annotates every phase unit (`core::UnitCodesFor`) and stitches them
- *  via `core::BuildProgramSimArtifacts`. Returns false with a message
- *  when any stage fails or a stored artifact is corrupt. */
-bool
-BuildArtifacts(const tiqec::core::SweepCandidate& c,
-               const CertifyConfig& config, int rounds,
-               tiqec::core::SimArtifacts* sim, std::string* error)
+/** Simulated rounds of a request: `rounds=`, or the code distance. */
+int
+RoundsOf(const tiqec::core::SweepCandidate& c)
 {
-    using namespace tiqec;
-    const qec::StabilizerCode& code = *c.code;
-    const workloads::WorkloadSpec spec = c.options.workload_spec();
-    {
-        const std::string err = core::CheckProgramCandidate(code, spec);
-        if (!err.empty()) {
-            *error = err;
-            return false;
-        }
-    }
-    const std::vector<const qec::StabilizerCode*> units =
-        core::UnitCodesFor(code, spec);
-    const size_t primary =
-        spec.program != nullptr
-            ? static_cast<size_t>(spec.program->primary_index())
-            : 0;
-
-    std::vector<core::CompileArtifacts> arts(units.size());
-    std::vector<store::StoreKey> compile_keys(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-        const qec::StabilizerCode& unit = *units[u];
-        if (config.reference) {
-            // CompileCandidate does not expose the reference pipeline;
-            // replicate it here with `reference_pipeline = true`.
-            arts[u].graph = compiler::MakeDeviceFor(unit, c.arch.topology,
-                                                    c.arch.trap_capacity);
-            compiler::CompilerOptions copts;
-            copts.wise = c.arch.wiring == core::WiringKind::kWise;
-            if (copts.wise) {
-                copts.cooling_per_two_qubit_gate =
-                    arts[u].timing.cooling_per_two_qubit_gate;
-            }
-            copts.reference_pipeline = true;
-            arts[u].compiled = compiler::CompileParityCheckRounds(
-                unit, 1, arts[u].graph, arts[u].timing, copts);
-            arts[u].ok = arts[u].compiled.ok;
-            arts[u].error = arts[u].compiled.error;
-        } else if (config.store != nullptr) {
-            compile_keys[u] =
-                store::CompileStoreKey(unit, c.arch, 1, nullptr);
-            std::string err;
-            const store::LoadStatus status = config.store->LoadCompile(
-                compile_keys[u], unit, c.arch, 1, nullptr, &arts[u], &err);
-            if (status == store::LoadStatus::kCorrupt) {
-                *error = err;
-                return false;
-            }
-            if (status == store::LoadStatus::kMiss) {
-                arts[u] = core::CompileCandidate(unit, c.arch);
-                if (arts[u].ok) {
-                    config.store->StoreCompile(compile_keys[u], arts[u]);
-                }
-            }
-        } else {
-            arts[u] = core::CompileCandidate(unit, c.arch);
-        }
-        if (!arts[u].ok) {
-            *error = arts[u].error;
-            return false;
-        }
-    }
-
-    std::vector<noise::RoundNoiseProfile> profiles(units.size());
-    std::vector<store::StoreKey> noise_keys(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-        bool have_profile = false;
-        if (!config.reference && config.store != nullptr) {
-            noise_keys[u] = store::NoiseStoreKey(compile_keys[u],
-                                                 c.arch.gate_improvement);
-            std::string err;
-            const store::LoadStatus status = config.store->LoadNoise(
-                noise_keys[u], arts[u].compiled.qec_circuit.size(),
-                units[u]->num_qubits(), &profiles[u], &err);
-            if (status == store::LoadStatus::kCorrupt) {
-                *error = err;
-                return false;
-            }
-            have_profile = status == store::LoadStatus::kHit;
-        }
-        if (!have_profile) {
-            profiles[u] =
-                core::AnnotateCandidate(*units[u], c.arch, arts[u]);
-            if (!config.reference && config.store != nullptr) {
-                config.store->StoreNoise(noise_keys[u], profiles[u]);
-            }
-        }
-    }
-
-    const auto build = [&]() {
-        if (spec.program != nullptr) {
-            std::vector<core::ProgramUnit> punits;
-            punits.reserve(units.size());
-            for (size_t u = 0; u < units.size(); ++u) {
-                punits.push_back(
-                    core::ProgramUnit{units[u], &arts[u], &profiles[u]});
-            }
-            return core::BuildProgramSimArtifacts(*spec.program, punits,
-                                                  c.arch, rounds);
-        }
-        return core::BuildSimArtifacts(code, arts[primary],
-                                       profiles[primary], c.arch, rounds,
-                                       spec);
-    };
-    if (!config.reference && config.store != nullptr) {
-        // Same basis normalisation as the sweep runner's sim key: only
-        // the memory workload reads the basis.
-        const int basis = spec.kind == workloads::WorkloadKind::kMemory
-                              ? static_cast<int>(spec.basis)
-                              : 0;
-        const store::StoreKey sim_key = store::SimStoreKey(
-            noise_keys[primary], rounds, basis,
-            static_cast<int>(spec.kind),
-            spec.program != nullptr ? spec.program->canonical_text()
-                                    : std::string());
-        std::string err;
-        const store::LoadStatus status =
-            config.store->LoadSim(sim_key, sim, &err);
-        if (status == store::LoadStatus::kCorrupt) {
-            *error = err;
-            return false;
-        }
-        if (status == store::LoadStatus::kHit) {
-            return true;
-        }
-        *sim = build();
-        config.store->StoreSim(sim_key, *sim);
-        return true;
-    }
-    *sim = build();
-    return true;
+    return c.options.rounds > 0 ? c.options.rounds : c.code->distance();
 }
 
-/** Certifies one request into a report line; returns whether it
- *  certified clean at the expected distance. */
+/** The `--reference` oracle chain: every unit (`core::UnitCodesFor`)
+ *  compiled fresh through the reference compiler pipeline, annotated,
+ *  and built into the experiment + DEM. Throws with the failing stage's
+ *  message. */
+tiqec::core::SimArtifacts
+BuildReferenceArtifacts(const tiqec::core::SweepCandidate& c)
+{
+    using namespace tiqec;
+    const workloads::WorkloadSpec& spec = c.options.workload;
+    if (const std::string err = core::CheckProgramCandidate(*c.code, spec);
+        !err.empty()) {
+        throw std::invalid_argument(err);
+    }
+    const std::vector<const qec::StabilizerCode*> units =
+        core::UnitCodesFor(*c.code, spec);
+    std::vector<core::CompileArtifacts> arts(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+        // CompileCandidate does not expose the reference pipeline;
+        // replicate it here with `reference_pipeline = true`.
+        arts[u].graph = compiler::MakeDeviceFor(*units[u], c.arch.topology,
+                                                c.arch.trap_capacity);
+        compiler::CompilerOptions copts;
+        copts.wise = c.arch.wiring == core::WiringKind::kWise;
+        if (copts.wise) {
+            copts.cooling_per_two_qubit_gate =
+                arts[u].timing.cooling_per_two_qubit_gate;
+        }
+        copts.reference_pipeline = true;
+        arts[u].compiled = compiler::CompileParityCheckRounds(
+            *units[u], 1, arts[u].graph, arts[u].timing, copts);
+        arts[u].ok = arts[u].compiled.ok;
+        if (!arts[u].ok) {
+            throw std::runtime_error(arts[u].compiled.error);
+        }
+    }
+    std::vector<noise::RoundNoiseProfile> profiles;
+    profiles.reserve(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+        profiles.push_back(
+            core::AnnotateCandidate(*units[u], c.arch, arts[u]));
+    }
+    if (spec.program == nullptr) {
+        return core::BuildSimArtifacts(*c.code, arts[0], profiles[0],
+                                       c.arch, RoundsOf(c), spec);
+    }
+    std::vector<core::ProgramUnit> punits;
+    punits.reserve(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+        punits.push_back(core::ProgramUnit{units[u], &arts[u], &profiles[u]});
+    }
+    return core::BuildProgramSimArtifacts(*spec.program, punits, c.arch,
+                                          RoundsOf(c));
+}
+
+/** Certifies one request's DEM into a report line (`sim` null: the
+ *  build failed with `error`); returns whether it certified clean at
+ *  the expected distance. */
 bool
 CertifyRequest(const std::string& line,
                const tiqec::core::SweepCandidate& c,
-               const CertifyConfig& config, std::string* report_line)
+               const CertifyConfig& config,
+               const tiqec::core::SimArtifacts* sim, const std::string& error,
+               std::string* report_line)
 {
     using namespace tiqec;
     common::JsonRecord r;
     r.Add("label", c.label);
     r.Add("request", line);
     r.Add("pipeline", config.reference ? "reference" : "fast");
-
-    const int expected = c.code->distance();
-    const int rounds =
-        c.options.rounds > 0 ? c.options.rounds : expected;
-    core::SimArtifacts sim;
-    std::string error;
-    bool built = false;
-    try {
-        built = BuildArtifacts(c, config, rounds, &sim, &error);
-    } catch (const std::exception& e) {
-        error = e.what();
-    }
-    if (!built) {
+    if (sim == nullptr) {
         r.Add("ok", false);
         r.Add("error", error);
         *report_line = r.Object();
         return false;
     }
 
+    const int expected = c.code->distance();
     analysis::DistanceCertificate cert;
     const std::vector<analysis::Diagnostic> diags = analysis::CheckDistance(
-        sim.dem, expected, config.certifier, &cert);
+        sim->dem, expected, config.certifier, &cert);
     r.Add("ok", true);
     r.Add("expected_distance", expected);
-    r.Add("rounds", rounds);
-    r.Add("num_detectors", sim.dem.num_detectors);
-    r.Add("num_observables", sim.dem.num_observables);
+    r.Add("rounds", RoundsOf(c));
+    r.Add("num_detectors", sim->dem.num_detectors);
+    r.Add("num_observables", sim->dem.num_observables);
     r.Add("num_mechanisms",
           static_cast<std::int64_t>(cert.mechanisms.size()));
-    r.Add("dem_undecomposable", sim.dem.num_undecomposable);
+    r.Add("dem_undecomposable", sim->dem.num_undecomposable);
     r.Add("graph_like", cert.graph_like);
     r.Add("searched_weight", cert.searched_weight);
 
@@ -325,9 +239,12 @@ main(int argc, char** argv)
             std::make_shared<tiqec::store::ArtifactStore>(store_dir);
     }
 
-    int num_requests = 0;
-    int num_certified = 0;
-    std::string jsonl;
+    // Parse every line; a malformed one gets its report now and never
+    // reaches the pipeline.
+    std::vector<std::string> lines;
+    std::vector<std::string> reports;
+    std::vector<tiqec::core::SweepCandidate> candidates;
+    std::vector<size_t> slots;
     std::istringstream stream(request_text);
     std::string line;
     while (std::getline(stream, line)) {
@@ -336,21 +253,63 @@ main(int argc, char** argv)
         if (first == std::string::npos || line[first] == '#') {
             continue;
         }
-        ++num_requests;
         tiqec::core::SweepCandidate candidate;
         std::string parse_error;
-        std::string report;
-        if (!tiqec::core::ParseRequestCandidate(line, &candidate,
-                                                &parse_error)) {
-            tiqec::common::JsonRecord r;
-            r.Add("label", "");
-            r.Add("request", line);
-            r.Add("ok", false);
-            r.Add("error", "request parse: " + parse_error);
-            report = r.Object();
-        } else if (CertifyRequest(line, candidate, config, &report)) {
+        if (tiqec::core::ParseRequestCandidate(line, &candidate,
+                                               &parse_error)) {
+            // Certification needs exactly the experiment + DEM: one
+            // compiled round, no Monte-Carlo shots, and the certifier
+            // runs here with this tool's options, not in the runner.
+            candidate.compile_rounds = 1;
+            candidate.options.compile_only = false;
+            candidate.options.max_shots = 0;
+            candidate.options.certify_distance = false;
+            candidates.push_back(std::move(candidate));
+            slots.push_back(lines.size());
+            reports.emplace_back();
+        } else {
+            reports.push_back(
+                tiqec::core::ParseErrorRecord(line, parse_error));
+        }
+        lines.push_back(line);
+    }
+
+    int num_certified = 0;
+    const auto certify = [&](size_t j, const tiqec::core::SimArtifacts* sim,
+                             const std::string& build_error) {
+        const size_t slot = slots[j];
+        if (CertifyRequest(lines[slot], candidates[j], config, sim,
+                           build_error, &reports[slot])) {
             ++num_certified;
         }
+    };
+    tiqec::core::SweepRunStats stats;
+    if (config.reference) {
+        for (size_t j = 0; j < candidates.size(); ++j) {
+            std::optional<tiqec::core::SimArtifacts> sim;
+            std::string build_error;
+            try {
+                sim = BuildReferenceArtifacts(candidates[j]);
+            } catch (const std::exception& e) {
+                build_error = e.what();
+            }
+            certify(j, sim ? &*sim : nullptr, build_error);
+        }
+    } else {
+        tiqec::core::SweepRunnerOptions runner_options;
+        runner_options.store = config.store;
+        tiqec::core::SweepRunner runner(runner_options);
+        const std::vector<tiqec::core::SweepOutcome> outcomes =
+            runner.RunDetailed(candidates);
+        for (size_t j = 0; j < candidates.size(); ++j) {
+            const tiqec::core::SweepOutcome& outcome = outcomes[j];
+            certify(j, outcome.metrics.ok ? outcome.sim.get() : nullptr,
+                    outcome.metrics.error);
+        }
+        stats = runner.last_run_stats();
+    }
+    std::string jsonl;
+    for (const std::string& report : reports) {
         jsonl += report;
         jsonl += '\n';
     }
@@ -363,19 +322,23 @@ main(int argc, char** argv)
         return 2;
     }
 
+    const int num_requests = static_cast<int>(lines.size());
     tiqec::common::JsonRecord summary;
     summary.Add("summary", true);
     summary.Add("requests", num_requests);
     summary.Add("certified", num_certified);
     summary.Add("pipeline", config.reference ? "reference" : "fast");
+    if (!config.reference) {
+        summary.Add("compiles", stats.compiles);
+        summary.Add("annotates", stats.annotates);
+        summary.Add("sim_builds", stats.sim_builds);
+    }
     if (config.store != nullptr) {
-        const tiqec::store::ArtifactStore::Counters counters =
-            config.store->counters();
-        summary.Add("store_hits", counters.hits);
-        summary.Add("store_misses", counters.misses);
-        summary.Add("store_corrupt", counters.corrupt);
-        summary.Add("store_writes", counters.writes);
-        summary.Add("store_validated", counters.validated);
+        summary.Add("store_hits", stats.store_hits);
+        summary.Add("store_misses", stats.store_misses);
+        summary.Add("store_corrupt", stats.store_corrupt);
+        summary.Add("store_writes", stats.store_writes);
+        summary.Add("store_validated", stats.store_validated);
         summary.Add("store_root", config.store->root());
     }
     std::printf("%s\n", summary.Object().c_str());
