@@ -9,29 +9,42 @@
  *
  * Algorithm (deterministic; see DESIGN.md §6.5 for the full argument):
  *
- *  1. Graphlike search. Every mechanism with <= 2 detectors is an edge
- *     of a multigraph over detectors plus one boundary vertex. For each
- *     observable the graph is doubled into observable-parity layers and
- *     a BFS from every `(vertex, even)` to its `(vertex, odd)` twin
- *     yields the shortest odd-parity closed walk — which XOR-reduces to
- *     a minimum-weight graphlike undetectable logical error. Exact over
- *     all graphlike subsets at any weight.
- *  2. Meet-in-the-middle sweep. All mechanisms (correlated hyperedge
- *     groups included) are searched exhaustively for witnesses up to
- *     `searched_weight`: right halves (single mechanisms and
- *     detector-sharing pairs) are indexed by syndrome, left halves
- *     (singles and arbitrary pairs) stream against the index, and an
- *     A*-style lower bound — remaining budget times the maximum
- *     mechanism degree must cover the open syndrome — prunes states
- *     that can no longer cancel. Any minimal witness of weight w <= 4
- *     splits into such halves (a zero-syndrome set always contains a
- *     detector-sharing pair), so the sweep is exhaustive below
- *     `searched_weight + 1`.
+ *  1. Sector projection bound. Restricting every syndrome to a subset S
+ *     of the detectors maps an undetectable logical error onto one of
+ *     the same weight and observable action (dropped symptoms cannot
+ *     stop a cancelling set from cancelling), so the minimum of the
+ *     projected problem is a lower bound on the true one for ANY S. The
+ *     certifier projects onto each check-basis sector recorded in
+ *     `DetectorErrorModel::detector_basis` (X and Z; untagged detectors
+ *     join both). When every projected mechanism touches <= 2 sector
+ *     detectors the projection is a graph and the shortest-odd-cycle
+ *     search below solves it exactly; the larger sector minimum is the
+ *     observable's lower bound. A wrong or missing tag can only make the
+ *     bound weaker (slower), never wrong.
+ *  2. Graphlike witness search. Every mechanism with <= 2 detectors is
+ *     an edge of a multigraph over detectors plus one boundary vertex.
+ *     For each observable the graph is doubled into observable-parity
+ *     layers and a BFS from every `(vertex, even)` to its `(vertex, odd)`
+ *     twin yields the shortest odd-parity closed walk — which
+ *     XOR-reduces to a minimum-weight graphlike undetectable logical
+ *     error, an upper bound. The start loop stops once the incumbent
+ *     meets the lower bound. The observable is exact when lower bound
+ *     and witness weight meet.
+ *  3. Meet-in-the-middle fallback, run only while some observable is
+ *     still open below the search cap. All mechanisms (correlated
+ *     hyperedge groups included) are searched exhaustively for
+ *     witnesses up to the cap: right halves (single mechanisms and
+ *     detector-sharing pairs) are indexed by a 64-bit Zobrist syndrome
+ *     hash, left halves (singles and arbitrary pairs) probe the index
+ *     and verify the syndrome on a hit. Any minimal witness of weight
+ *     w <= 4 splits into such halves (a zero-syndrome set always
+ *     contains a detector-sharing pair), so every weight up to the cap
+ *     is covered.
  *
- * The reported distance is the minimum of both searches; it is `exact`
- * when every smaller weight was covered (always the case for the
- * d = 3 / d = 5 acceptance workloads, and for purely graphlike models
- * at any distance).
+ * The reported distance is the minimum of the witness searches; it is
+ * `exact` when the proven lower bound reaches it (always the case for
+ * purely graphlike models at any distance, and for the memory, surgery,
+ * stability, bell and cnot workloads at every distance tried, 3..9).
  */
 #ifndef TIQEC_ANALYSIS_DISTANCE_CERTIFIER_H
 #define TIQEC_ANALYSIS_DISTANCE_CERTIFIER_H
@@ -66,10 +79,14 @@ struct ObservableDistance
     bool found = false;
     /** Its minimum weight (mechanism count); valid when `found`. */
     int distance = 0;
-    /** Every weight below `distance` was searched exhaustively, so
-     *  `distance` is the true effective distance (when `found`) or a
-     *  certified lower bound of `searched_weight + 1` (when not). */
+    /** `distance` is the true effective distance (when `found`), or no
+     *  undetectable logical error flips this observable at any weight
+     *  (when not). */
     bool exact = false;
+    /** Proven lower bound on the weight of any undetectable logical
+     *  error flipping this observable: `distance` when exact and found,
+     *  the mechanism count + 1 when exact and not found. */
+    int lower_bound = 0;
     /** Indices into `DistanceCertificate::mechanisms` of one
      *  minimum-weight witness, ascending; empty when not found. */
     std::vector<int> witness;
@@ -81,18 +98,29 @@ struct DistanceCertificate
      *  edges in order, then one entry per hyperedge mechanism group. */
     std::vector<DemMechanism> mechanisms;
     std::vector<ObservableDistance> observables;
-    /** Exhaustive meet-in-the-middle bound actually applied. */
+    /** Every weight <= this is proven witness-free for every
+     *  observable: the smallest `lower_bound` minus one (the mechanism
+     *  count when no observable bounds it). */
     int searched_weight = 0;
     /** Every mechanism has <= 2 detectors: the graphlike search alone is
      *  exact at any weight. */
     bool graph_like = false;
+
+    // Deterministic work counters (states popped, pairs probed).
+    /** BFS states expanded by the sector projection bound. */
+    std::int64_t projection_states = 0;
+    /** BFS states expanded by the graphlike witness search. */
+    std::int64_t witness_states = 0;
+    /** Left mechanism pairs probed by the meet-in-the-middle fallback
+     *  (0 when it did not run). */
+    std::int64_t mitm_pairs = 0;
 };
 
 struct DistanceCertifierOptions
 {
     /** Cap on the exhaustive meet-in-the-middle witness weight. Values
      *  above 4 are clamped (the half-split argument covers weight 4);
-     *  the graphlike search is never capped. */
+     *  the projection bound and the graphlike search are never capped. */
     int max_search_weight = 4;
 };
 
@@ -111,8 +139,8 @@ std::string FormatWitness(const DistanceCertificate& certificate,
  * every observable whose effective distance is below
  * `expected_distance` (the witness mechanism set is spelled out in the
  * message), for models whose dropped/undecomposable mechanisms make
- * certification unsound, and for observables whose distance could not
- * be certified up to `expected_distance` within the search bound. When
+ * certification unsound, and for observables whose proven lower bound
+ * stays below `expected_distance`. When
  * `certificate` is non-null the full certificate is copied out.
  */
 std::vector<Diagnostic> CheckDistance(

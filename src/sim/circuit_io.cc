@@ -10,16 +10,17 @@ namespace tiqec::sim {
 
 namespace {
 
-constexpr char kHeader[] = "tiqec-circuit v1";
+constexpr char kHeader[] = "tiqec-circuit v2";
 
 // Line grammar (space-separated, exact doubles):
-//   tiqec-circuit v1
+//   tiqec-circuit v2
 //   qubits <num_qubits>
 //   ops <instruction count>
 //   H <q> | CX <c> <t> | SW <a> <b>
 //   M <q> <p> | R <q> <p>
 //   X <q> <p> | Z <q> <p> | D1 <q> <p> | D2 <q0> <q1> <p>
-//   DET <coord.x> <coord.y> <round> <ntargets> <record indices...>
+//   DET <coord.x> <coord.y> <round> <basis X|Z|-> <ntargets>
+//       <record indices...>
 //   OBS <observable> <ntargets> <record indices...>
 //
 // Zero-probability stochastic channels never appear: the Add* builders
@@ -94,7 +95,8 @@ FormatNoisyCircuit(const NoisyCircuit& circuit)
                 circuit.detectors()[static_cast<size_t>(inst.index)];
             out += "DET " + text::ExactDouble(info.coord.x) + ' ' +
                    text::ExactDouble(info.coord.y) + ' ' +
-                   std::to_string(info.round);
+                   std::to_string(info.round) + ' ' +
+                   BasisChar(info.basis);
             AppendTargets(out, inst.targets);
             break;
           }
@@ -154,14 +156,20 @@ class Replayer
             const auto [a, b] = QubitPair(f[1], f[2], context);
             circuit_.AddDepolarize2(a, b, Channel(f[3], context));
         } else if (op == "DET") {
-            if (f.size() < 5) {
+            if (f.size() < 6) {
                 throw std::invalid_argument("short DET line in " + context);
             }
             Coord coord;
             coord.x = text::ParseDouble(f[1], context);
             coord.y = text::ParseDouble(f[2], context);
             const int round = text::ParseInt32(f[3], context);
-            circuit_.AddDetector(Targets(f, 4, context), coord, round);
+            DetectorBasis basis = DetectorBasis::kUnknown;
+            if (f[4].size() != 1 || !ParseBasisChar(f[4][0], &basis)) {
+                throw std::invalid_argument(
+                    "detector basis out of range in " + context);
+            }
+            circuit_.AddDetector(Targets(f, 5, context), coord, round,
+                                 basis);
         } else if (op == "OBS") {
             if (f.size() < 3) {
                 throw std::invalid_argument("short OBS line in " + context);
@@ -282,7 +290,7 @@ ParseNoisyCircuitImpl(const std::string& text_in)
     };
 
     if (!next() || line != kHeader) {
-        throw std::invalid_argument("missing 'tiqec-circuit v1' header");
+        throw std::invalid_argument("missing 'tiqec-circuit v2' header");
     }
     if (!next()) {
         throw std::invalid_argument("missing qubits line");

@@ -19,7 +19,7 @@
 
 namespace tiqec::sim {
 
-/** Serializes `circuit` to the `tiqec-circuit v1` text format. */
+/** Serializes `circuit` to the `tiqec-circuit v2` text format. */
 std::string FormatNoisyCircuit(const NoisyCircuit& circuit);
 
 /**

@@ -105,6 +105,9 @@ BuildDem(const NoisyCircuit& circuit,
     DetectorErrorModel dem;
     dem.num_detectors = circuit.num_detectors();
     dem.num_observables = circuit.num_observables();
+    for (const DetectorInfo& d : circuit.detectors()) {
+        dem.detector_basis.push_back(d.basis);
+    }
 
     const std::vector<Component> comps = EnumerateComponents(circuit);
     dem.num_components = static_cast<int>(comps.size());

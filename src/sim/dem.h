@@ -74,6 +74,10 @@ struct DetectorErrorModel
     /** Correlated mechanisms kept beside the elementary graph (variants
      *  grouped by `DemHyperedge::mechanism`). */
     std::vector<DemHyperedge> hyperedges;
+    /** Per-detector check basis copied from the circuit (empty: all
+     *  unknown). The distance certifier projects onto these sectors; a
+     *  wrong tag costs it speed, never soundness. */
+    std::vector<DetectorBasis> detector_basis;
 
     // Extraction diagnostics.
     int num_components = 0;

@@ -9,15 +9,17 @@ namespace tiqec::sim {
 
 namespace {
 
-constexpr char kHeader[] = "tiqec-dem v1";
+constexpr char kHeader[] = "tiqec-dem v2";
 
 // Line grammar (space-separated, exact doubles):
-//   tiqec-dem v1
+//   tiqec-dem v2
 //   counts <num_detectors> <num_observables> <num_edges> <num_hyperedges>
 //   diag <num_components> <num_decomposed> <num_hyperedge_groups>
 //        <num_undecomposable>
 //   mass <hyperedge_probability> <undecomposable_probability>
 //        <dropped_probability>
+//   bases <n> <one X|Z|- per detector>   (n = 0 or num_detectors; the
+//                                          tag string is absent at 0)
 //   e <d0> <d1> <p> <obs_mask>                       (x num_edges)
 //   h <mechanism> <p> <obs_mask> <ndets> <dets...>
 //        <nedges> <edge indices...>                  (x num_hyperedges)
@@ -93,6 +95,15 @@ FormatDem(const DetectorErrorModel& dem)
     out += ' ';
     out += text::ExactDouble(dem.dropped_probability);
     out += '\n';
+    out += "bases ";
+    out += std::to_string(dem.detector_basis.size());
+    if (!dem.detector_basis.empty()) {
+        out += ' ';
+        for (const DetectorBasis b : dem.detector_basis) {
+            out += BasisChar(b);
+        }
+    }
+    out += '\n';
     for (const DemEdge& e : dem.edges) {
         AppendEdge(out, e);
     }
@@ -130,7 +141,7 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
     std::istringstream in(text_in);
     std::string line;
     if (!NextLine(in, &line) || line != kHeader) {
-        throw std::invalid_argument("missing 'tiqec-dem v1' header");
+        throw std::invalid_argument("missing 'tiqec-dem v2' header");
     }
 
     if (!NextLine(in, &line)) {
@@ -170,6 +181,33 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
     dem->hyperedge_probability = text::ParseDouble(fields[1], "mass");
     dem->undecomposable_probability = text::ParseDouble(fields[2], "mass");
     dem->dropped_probability = text::ParseDouble(fields[3], "mass");
+
+    if (!NextLine(in, &line)) {
+        throw std::invalid_argument("missing bases line");
+    }
+    fields = text::SplitFields(line, ' ');
+    if (fields.size() < 2 || fields[0] != "bases") {
+        throw std::invalid_argument("malformed bases line: '" + line + "'");
+    }
+    const std::int64_t num_bases = text::ParseInt64(fields[1], "bases");
+    if (fields.size() != (num_bases == 0 ? 2u : 3u)) {
+        throw std::invalid_argument("malformed bases line: '" + line + "'");
+    }
+    const std::string tags = num_bases == 0 ? "" : fields[2];
+    if ((num_bases != 0 && num_bases != dem->num_detectors) ||
+        static_cast<std::int64_t>(tags.size()) != num_bases) {
+        throw std::invalid_argument(
+            "bases line has " + std::to_string(tags.size()) +
+            " tags for " + std::to_string(dem->num_detectors) +
+            " detectors");
+    }
+    dem->detector_basis.resize(tags.size());
+    for (size_t d = 0; d < tags.size(); ++d) {
+        if (!ParseBasisChar(tags[d], &dem->detector_basis[d])) {
+            throw std::invalid_argument("detector basis out of range in "
+                                        "bases line");
+        }
+    }
 
     dem->edges.reserve(static_cast<size_t>(num_edges));
     for (std::int64_t i = 0; i < num_edges; ++i) {

@@ -18,7 +18,7 @@
 
 namespace tiqec::sim {
 
-/** Serializes `dem` to the `tiqec-dem v1` text format. */
+/** Serializes `dem` to the `tiqec-dem v2` text format. */
 std::string FormatDem(const DetectorErrorModel& dem);
 
 /**

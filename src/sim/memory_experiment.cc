@@ -43,9 +43,10 @@ BuildMemory(const qec::StabilizerCode& code,
             const auto& chk = code.checks()[k];
             const Coord coord = code.qubit(chk.ancilla).coord;
             if (chk.type == anchor && r == 0) {
-                sim.AddDetector({meas[0][k]}, coord, 0);
+                sim.AddDetector({meas[0][k]}, coord, 0, BasisOf(chk.type));
             } else if (r >= 1) {
-                sim.AddDetector({meas[r][k], meas[r - 1][k]}, coord, r);
+                sim.AddDetector({meas[r][k], meas[r - 1][k]}, coord, r,
+                                BasisOf(chk.type));
             }
         }
     }
@@ -72,7 +73,8 @@ BuildMemory(const qec::StabilizerCode& code,
             }
         }
         sim.AddDetector(std::move(targets),
-                        code.qubit(chk.ancilla).coord, rounds);
+                        code.qubit(chk.ancilla).coord, rounds,
+                        BasisOf(chk.type));
     }
     // The protected logical observable.
     const auto& logical = basis == MemoryBasis::kZ ? code.logical_z()

@@ -78,9 +78,41 @@ NoisyCircuit::AddDepolarize2(int q0, int q1, double p)
     }
 }
 
+char
+BasisChar(DetectorBasis basis)
+{
+    switch (basis) {
+      case DetectorBasis::kX:
+        return 'X';
+      case DetectorBasis::kZ:
+        return 'Z';
+      case DetectorBasis::kUnknown:
+        break;
+    }
+    return '-';
+}
+
+bool
+ParseBasisChar(char c, DetectorBasis* basis)
+{
+    switch (c) {
+      case 'X':
+        *basis = DetectorBasis::kX;
+        return true;
+      case 'Z':
+        *basis = DetectorBasis::kZ;
+        return true;
+      case '-':
+        *basis = DetectorBasis::kUnknown;
+        return true;
+      default:
+        return false;
+    }
+}
+
 int
 NoisyCircuit::AddDetector(std::vector<std::int32_t> measurement_indices,
-                          Coord coord, int round)
+                          Coord coord, int round, DetectorBasis basis)
 {
     const int index = num_detectors();
     SimInstruction inst;
@@ -92,7 +124,7 @@ NoisyCircuit::AddDetector(std::vector<std::int32_t> measurement_indices,
         (void)m;
     }
     Push(std::move(inst));
-    detectors_.push_back({.coord = coord, .round = round});
+    detectors_.push_back({.coord = coord, .round = round, .basis = basis});
     return index;
 }
 

@@ -49,11 +49,27 @@ struct SimInstruction
     std::vector<std::int32_t> targets{};
 };
 
-/** Detector metadata: position in (space, time) for edge decomposition. */
+/** Stabilizer type a detector compares: the sector the distance
+ *  certifier projects onto (analysis/distance_certifier.h). */
+enum class DetectorBasis : std::uint8_t {
+    kUnknown,
+    kX,
+    kZ,
+};
+
+/** Serialized form of a basis tag: 'X', 'Z', or '-' for kUnknown. */
+char BasisChar(DetectorBasis basis);
+
+/** Inverse of `BasisChar`; false for any other character. */
+bool ParseBasisChar(char c, DetectorBasis* basis);
+
+/** Detector metadata: position in (space, time) for edge decomposition,
+ *  and the check basis (kUnknown when the builder does not know it). */
 struct DetectorInfo
 {
     Coord coord;
     int round = 0;
+    DetectorBasis basis = DetectorBasis::kUnknown;
 };
 
 class NoisyCircuit
@@ -94,7 +110,8 @@ class NoisyCircuit
     void AddDepolarize2(int q0, int q1, double p);
     /** Returns the detector index. */
     int AddDetector(std::vector<std::int32_t> measurement_indices,
-                    Coord coord, int round);
+                    Coord coord, int round,
+                    DetectorBasis basis = DetectorBasis::kUnknown);
     void AddObservableInclude(int observable,
                               std::vector<std::int32_t> measurement_indices);
 

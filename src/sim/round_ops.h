@@ -27,6 +27,14 @@
 
 namespace tiqec::sim {
 
+/** The detector basis tag of a check of type `type`. */
+inline DetectorBasis
+BasisOf(qec::CheckType type)
+{
+    return type == qec::CheckType::kX ? DetectorBasis::kX
+                                      : DetectorBasis::kZ;
+}
+
 /**
  * Precomputed lookup state for appending compiled noisy parity-check
  * rounds. Holds references: code, round circuit, and profile must

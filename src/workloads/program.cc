@@ -1154,7 +1154,7 @@ BoundProgram::Build(const std::vector<PhaseCircuit>& phases,
             }
             sim.AddDetector(std::move(targets),
                             layout_->qubit(QubitId(slot)).coord,
-                            round_index);
+                            round_index, sim::BasisOf(slot_type[slot]));
             pending[slot].clear();
             slot_support[slot].clear();
         }
@@ -1225,7 +1225,8 @@ BoundProgram::Build(const std::vector<PhaseCircuit>& phases,
                 targets.reserve(1 + pend.size());
                 targets.push_back(rec);
                 targets.insert(targets.end(), pend.begin(), pend.end());
-                sim.AddDetector(std::move(targets), coord, round_index);
+                sim.AddDetector(std::move(targets), coord, round_index,
+                                sim::BasisOf(chk.type));
             } else {
                 const int want =
                     chk.type == qec::CheckType::kX ? 1 : 0;
@@ -1237,7 +1238,8 @@ BoundProgram::Build(const std::vector<PhaseCircuit>& phases,
                     }
                 }
                 if (all_fresh) {
-                    sim.AddDetector({rec}, coord, round_index);
+                    sim.AddDetector({rec}, coord, round_index,
+                                    sim::BasisOf(chk.type));
                 }
             }
             pend.assign(1, rec);

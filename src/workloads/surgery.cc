@@ -59,10 +59,12 @@ SurgeryExperiment::Build(const circuit::Circuit& round_circuit,
             const Coord coord = code.qubit(chk.ancilla).coord;
             if (r == 0) {
                 if (chk.type == joint_type && !is_joint_check[k]) {
-                    sim.AddDetector({meas[0][k]}, coord, 0);
+                    sim.AddDetector({meas[0][k]}, coord, 0,
+                                    sim::BasisOf(chk.type));
                 }
             } else {
-                sim.AddDetector({meas[r][k], meas[r - 1][k]}, coord, r);
+                sim.AddDetector({meas[r][k], meas[r - 1][k]}, coord, r,
+                                sim::BasisOf(chk.type));
             }
         }
     }
@@ -94,7 +96,8 @@ SurgeryExperiment::Build(const circuit::Circuit& round_circuit,
             }
         }
         sim.AddDetector(std::move(targets),
-                        code.qubit(chk.ancilla).coord, rounds);
+                        code.qubit(chk.ancilla).coord, rounds,
+                        sim::BasisOf(chk.type));
     }
 
     // Observable 0: the measured joint parity (first-round product of

@@ -7,6 +7,8 @@
  * each mutation class is caught by the rule it was written for.
  */
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
@@ -17,6 +19,7 @@
 
 #include "analysis/analysis.h"
 #include "analysis/distance_certifier.h"
+#include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
 #include "core/toolflow.h"
@@ -422,75 +425,89 @@ TEST(AnalysisMutation, EveryRuleFiresOnItsMutation)
     EXPECT_EQ(MutationBattery().size(), AllRuleIds().size());
 }
 
+struct FamilyCase
+{
+    const char* family;
+    std::vector<workloads::WorkloadKind> workloads;
+};
+
+/** Compiles `fc.family` at `distance` through one compiler pipeline,
+ *  then checks that every workload's artifacts validate cleanly and
+ *  certify at effective distance exactly `distance`, exactly, for every
+ *  observable. */
+void
+ExpectCleanAndCertified(const FamilyCase& fc, int distance, bool reference)
+{
+    SCOPED_TRACE("d=" + std::to_string(distance) +
+                 (reference ? " reference " : " fast ") + fc.family);
+    const auto code = qec::MakeCode(fc.family, distance);
+    core::ArchitectureConfig arch;
+    core::CompileArtifacts arts;
+    arts.graph =
+        compiler::MakeDeviceFor(*code, arch.topology, arch.trap_capacity);
+    compiler::CompilerOptions copts;
+    copts.reference_pipeline = reference;
+    arts.compiled = compiler::CompileParityCheckRounds(*code, 1, arts.graph,
+                                                       arts.timing, copts);
+    ASSERT_TRUE(arts.compiled.ok) << arts.compiled.error;
+    arts.ok = true;
+
+    const auto schedule_diags = ValidateCompiledArtifacts(
+        arts.compiled, arts.graph, arts.timing, /*wise=*/false);
+    EXPECT_TRUE(schedule_diags.empty()) << Join(schedule_diags);
+
+    const auto profile = core::AnnotateCandidate(*code, arch, arts);
+    for (const workloads::WorkloadKind kind : fc.workloads) {
+        SCOPED_TRACE("workload=" + std::to_string(static_cast<int>(kind)));
+        const workloads::WorkloadSpec spec(kind, sim::MemoryBasis::kZ);
+        const auto sim = core::BuildSimArtifacts(*code, arts, profile, arch,
+                                                 distance, spec);
+        const auto sim_diags = ValidateSimArtifacts(
+            sim.experiment, sim.dem, SimValidationOptionsFor(*code, spec));
+        EXPECT_TRUE(sim_diags.empty()) << Join(sim_diags);
+
+        DistanceCertificate cert;
+        const auto cert_diags = CheckDistance(sim.dem, distance, {}, &cert);
+        EXPECT_TRUE(cert_diags.empty()) << Join(cert_diags);
+        for (const ObservableDistance& od : cert.observables) {
+            EXPECT_TRUE(od.found);
+            EXPECT_TRUE(od.exact);
+            EXPECT_EQ(od.distance, distance) << "observable " << od.observable;
+            EXPECT_EQ(static_cast<int>(od.witness.size()), distance);
+        }
+        EXPECT_EQ(cert.searched_weight, distance - 1);
+    }
+}
+
+const FamilyCase kRotatedMemory = {"rotated",
+                                   {workloads::WorkloadKind::kMemory}};
+const FamilyCase kMergedZz = {"merged_zz",
+                              {workloads::WorkloadKind::kStability,
+                               workloads::WorkloadKind::kSurgery}};
+const FamilyCase kMergedXxSurgery = {"merged_xx",
+                                     {workloads::WorkloadKind::kSurgery}};
+
 // Clean artifacts from both compiler pipelines validate cleanly for all
 // three workloads, and the static certifier reports effective distance
 // exactly d for every observable (the PR's acceptance contract).
 TEST(AnalysisClean, BothPipelinesAtD3AndD5ValidateAndCertifyAllWorkloads)
 {
-    struct FamilyCase
-    {
-        const char* family;
-        std::vector<workloads::WorkloadKind> workloads;
-    };
-    const std::vector<FamilyCase> families = {
-        {"rotated", {workloads::WorkloadKind::kMemory}},
-        {"merged_zz",
-         {workloads::WorkloadKind::kStability,
-          workloads::WorkloadKind::kSurgery}},
-    };
     for (const int distance : {3, 5}) {
         for (const bool reference : {false, true}) {
-            for (const FamilyCase& fc : families) {
-                SCOPED_TRACE("d=" + std::to_string(distance) +
-                             (reference ? " reference " : " fast ") +
-                             fc.family);
-                const auto code = qec::MakeCode(fc.family, distance);
-                core::ArchitectureConfig arch;
-                core::CompileArtifacts arts;
-                arts.graph = compiler::MakeDeviceFor(
-                    *code, arch.topology, arch.trap_capacity);
-                compiler::CompilerOptions copts;
-                copts.reference_pipeline = reference;
-                arts.compiled = compiler::CompileParityCheckRounds(
-                    *code, 1, arts.graph, arts.timing, copts);
-                ASSERT_TRUE(arts.compiled.ok) << arts.compiled.error;
-                arts.ok = true;
-
-                const auto schedule_diags = ValidateCompiledArtifacts(
-                    arts.compiled, arts.graph, arts.timing,
-                    /*wise=*/false);
-                EXPECT_TRUE(schedule_diags.empty())
-                    << Join(schedule_diags);
-
-                const auto profile =
-                    core::AnnotateCandidate(*code, arch, arts);
-                for (const workloads::WorkloadKind kind : fc.workloads) {
-                    SCOPED_TRACE("workload=" +
-                                 std::to_string(static_cast<int>(kind)));
-                    const workloads::WorkloadSpec spec(
-                        kind, sim::MemoryBasis::kZ);
-                    const auto sim = core::BuildSimArtifacts(
-                        *code, arts, profile, arch, distance, spec);
-                    const auto sim_diags = ValidateSimArtifacts(
-                        sim.experiment, sim.dem,
-                        SimValidationOptionsFor(*code, spec));
-                    EXPECT_TRUE(sim_diags.empty()) << Join(sim_diags);
-
-                    DistanceCertificate cert;
-                    const auto cert_diags =
-                        CheckDistance(sim.dem, distance, {}, &cert);
-                    EXPECT_TRUE(cert_diags.empty()) << Join(cert_diags);
-                    for (const ObservableDistance& od : cert.observables) {
-                        EXPECT_TRUE(od.found);
-                        EXPECT_TRUE(od.exact);
-                        EXPECT_EQ(od.distance, distance)
-                            << "observable " << od.observable;
-                        EXPECT_EQ(static_cast<int>(od.witness.size()),
-                                  distance);
-                    }
-                }
+            for (const FamilyCase& fc : {kRotatedMemory, kMergedZz}) {
+                ExpectCleanAndCertified(fc, distance, reference);
             }
         }
+    }
+}
+
+// At d=7 the exact distance is out of the weight-4 fallback's reach; the
+// sector projection bound must prove it on its own.
+TEST(AnalysisClean, FastPipelineAtD7CertifiesExactly)
+{
+    for (const FamilyCase& fc :
+         {kRotatedMemory, kMergedZz, kMergedXxSurgery}) {
+        ExpectCleanAndCertified(fc, 7, /*reference=*/false);
     }
 }
 
@@ -540,6 +557,264 @@ TEST(DistanceCertifier, HandBuiltChainAndHyperedgeShortcut)
     EXPECT_NE(diags[0].message.find("witness mechanism set"),
               std::string::npos)
         << diags[0].message;
+}
+
+/** The fast-pipeline DEM of `family` at `distance` (rounds = d). */
+sim::DetectorErrorModel
+FastDem(const char* family, int distance, workloads::WorkloadKind kind)
+{
+    const auto code = qec::MakeCode(family, distance);
+    core::ArchitectureConfig arch;
+    const core::CompileArtifacts arts = core::CompileCandidate(*code, arch);
+    EXPECT_TRUE(arts.ok) << arts.error;
+    const auto profile = core::AnnotateCandidate(*code, arch, arts);
+    return core::BuildSimArtifacts(
+               *code, arts, profile, arch, distance,
+               workloads::WorkloadSpec(kind, sim::MemoryBasis::kZ))
+        .dem;
+}
+
+// The sector bound closes memory d=5 without the weight-4 fallback, and
+// its early stop leaves every witness as the fallback path reports it:
+// stripping the basis tags forces the fallback and must not change a
+// single distance, exactness flag or witness.
+TEST(DistanceCertifier, SectorBoundSkipsFallbackAndKeepsWitnesses)
+{
+    const std::vector<std::pair<const char*, workloads::WorkloadKind>>
+        cases = {{"rotated", workloads::WorkloadKind::kMemory},
+                 {"merged_xx", workloads::WorkloadKind::kSurgery}};
+    for (const int distance : {3, 5}) {
+        for (const auto& [family, kind] : cases) {
+            SCOPED_TRACE(std::string(family) + " d=" +
+                         std::to_string(distance));
+            sim::DetectorErrorModel dem = FastDem(family, distance, kind);
+            ASSERT_FALSE(dem.detector_basis.empty());
+            const DistanceCertificate tagged = CertifyDistance(dem);
+            EXPECT_EQ(tagged.mitm_pairs, 0);
+            EXPECT_GT(tagged.projection_states, 0);
+            EXPECT_GT(tagged.witness_states, 0);
+
+            dem.detector_basis.clear();
+            const DistanceCertificate untagged = CertifyDistance(dem);
+            EXPECT_EQ(untagged.projection_states, 0);
+            EXPECT_GT(untagged.mitm_pairs, 0);
+            ASSERT_EQ(tagged.observables.size(), untagged.observables.size());
+            for (size_t o = 0; o < tagged.observables.size(); ++o) {
+                const ObservableDistance& a = tagged.observables[o];
+                const ObservableDistance& b = untagged.observables[o];
+                EXPECT_TRUE(a.exact);
+                EXPECT_EQ(a.exact, b.exact);
+                EXPECT_EQ(a.distance, b.distance);
+                EXPECT_EQ(a.witness, b.witness);
+            }
+        }
+    }
+}
+
+/** Exhaustive reference: the minimum weight of an undetectable logical
+ *  error per observable over all 2^n mechanism subsets (-1: none). */
+std::vector<int>
+BruteForceDistances(const std::vector<std::pair<std::uint32_t,
+                                                std::uint32_t>>& mechanisms,
+                    int num_observables)
+{
+    std::vector<int> best(static_cast<size_t>(num_observables), -1);
+    const std::uint32_t n = static_cast<std::uint32_t>(mechanisms.size());
+    for (std::uint32_t subset = 1; subset < (1u << n); ++subset) {
+        std::uint32_t syndrome = 0;
+        std::uint32_t obs = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (subset >> i & 1u) {
+                syndrome ^= mechanisms[i].first;
+                obs ^= mechanisms[i].second;
+            }
+        }
+        if (syndrome != 0) {
+            continue;
+        }
+        const int weight = std::popcount(subset);
+        for (int o = 0; o < num_observables; ++o) {
+            int& b = best[static_cast<size_t>(o)];
+            if ((obs >> o & 1u) && (b < 0 || weight < b)) {
+                b = weight;
+            }
+        }
+    }
+    return best;
+}
+
+// Seeded random DEMs of <= 16 mechanisms (edges, boundary edges, and
+// hyperedges, some spanning 3+ detectors of one sector) against 2^n
+// enumeration, each under correct, random, and missing basis tags. A
+// claimed-exact distance must be the true minimum, a witness must be a
+// real undetectable logical error, and no lower bound may exceed the
+// true minimum — whatever the tags say.
+TEST(DistanceCertifier, AgreesWithBruteForceOnRandomModels)
+{
+    int exact_claims = 0;
+    int exact_above_fallback = 0;
+    int fallback_runs = 0;
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        Rng rng(seed);
+        // Detectors [0, num_x) are X checks, the rest Z checks.
+        int num_x = 1 + static_cast<int>(rng.NextBelow(4));
+        const int num_z = 1 + static_cast<int>(rng.NextBelow(4));
+        const int nd = num_x + num_z;
+        const int num_obs = 1 + static_cast<int>(rng.NextBelow(2));
+        const int n = 4 + static_cast<int>(rng.NextBelow(13));
+
+        // Mechanisms as (sorted detectors, observable mask).
+        std::vector<std::pair<std::vector<int>, std::uint32_t>> drawn;
+        if (seed % 3 == 0) {
+            // Two repetition chains, one per sector, the X one carrying
+            // observable 0 on its first link, plus Y-like mechanisms
+            // that flip one link of each (distances reach 7) and
+            // three-detector shortcuts across the X chain (the
+            // non-graphlike regime of the X projection).
+            const auto chain = [&drawn](int first, int length,
+                                        std::uint32_t obs) {
+                for (int k = 0; k <= length; ++k) {
+                    std::vector<int> link;
+                    for (const int d : {first + k - 1, first + k}) {
+                        if (d >= first && d < first + length) {
+                            link.push_back(d);
+                        }
+                    }
+                    drawn.emplace_back(link, k == 0 ? obs : 0u);
+                }
+            };
+            chain(0, num_x + 2, 1u);
+            chain(num_x + 2, num_z, static_cast<std::uint32_t>(
+                                        rng.NextBelow(1u << num_obs)));
+            const size_t links = drawn.size();
+            for (int y = static_cast<int>(rng.NextBelow(3)); y > 0; --y) {
+                const auto a = drawn[rng.NextBelow(num_x + 3)];
+                const auto b =
+                    drawn[num_x + 3 + rng.NextBelow(links - num_x - 3)];
+                std::vector<int> dets = a.first;
+                dets.insert(dets.end(), b.first.begin(), b.first.end());
+                drawn.emplace_back(dets, a.second ^ b.second);
+            }
+            for (int h = static_cast<int>(rng.NextBelow(2)); h > 0; --h) {
+                const int k = static_cast<int>(rng.NextBelow(num_x));
+                drawn.emplace_back(std::vector<int>{k, k + 1, k + 2},
+                                   static_cast<std::uint32_t>(
+                                       rng.NextBelow(1u << num_obs)));
+            }
+            num_x += 2;
+        } else {
+            for (int i = 0; i < n; ++i) {
+                // Up to 2 detectors per sector, or (rarely) 3 X ones.
+                std::set<int> dets;
+                const int want_x = rng.NextBelow(8) == 0
+                                       ? 3
+                                       : static_cast<int>(rng.NextBelow(3));
+                for (int k = 0; k < want_x; ++k) {
+                    dets.insert(static_cast<int>(rng.NextBelow(num_x)));
+                }
+                const int want_z = static_cast<int>(rng.NextBelow(3));
+                for (int k = 0; k < want_z; ++k) {
+                    dets.insert(num_x +
+                                static_cast<int>(rng.NextBelow(num_z)));
+                }
+                if (dets.empty()) {
+                    dets.insert(static_cast<int>(rng.NextBelow(nd)));
+                }
+                drawn.emplace_back(
+                    std::vector<int>(dets.begin(), dets.end()),
+                    static_cast<std::uint32_t>(
+                        rng.NextBelow(1u << num_obs)));
+            }
+        }
+
+        sim::DetectorErrorModel dem;
+        dem.num_detectors = num_x + num_z;
+        dem.num_observables = num_obs;
+        for (auto& [dets, obs] : drawn) {
+            std::sort(dets.begin(), dets.end());
+            if (dets.size() <= 2 && rng.NextBelow(4) != 0) {
+                dem.edges.push_back(
+                    {dets[0],
+                     dets.size() == 2 ? dets[1] : sim::DemEdge::kBoundary,
+                     0.01, obs});
+            } else {
+                sim::DemHyperedge h;
+                h.dets = dets;
+                h.p = 0.001;
+                h.obs_mask = obs;
+                h.mechanism = dem.num_hyperedges++;
+                dem.hyperedges.push_back(h);
+            }
+        }
+        // Edges come first in the certifier's mechanism order.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> ordered;
+        for (const sim::DemEdge& e : dem.edges) {
+            ordered.emplace_back(
+                (1u << e.d0) | (e.d1 == sim::DemEdge::kBoundary
+                                    ? 0u
+                                    : 1u << e.d1),
+                e.obs_mask);
+        }
+        for (const sim::DemHyperedge& h : dem.hyperedges) {
+            std::uint32_t syndrome = 0;
+            for (const int d : h.dets) {
+                syndrome |= 1u << d;
+            }
+            ordered.emplace_back(syndrome, h.obs_mask);
+        }
+        const std::vector<int> truth = BruteForceDistances(ordered, num_obs);
+
+        for (int tags = 0; tags < 3; ++tags) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " tags=" + std::to_string(tags));
+            dem.detector_basis.clear();
+            for (int d = 0; d < dem.num_detectors && tags < 2; ++d) {
+                dem.detector_basis.push_back(
+                    tags == 0 ? (d < num_x ? sim::DetectorBasis::kX
+                                           : sim::DetectorBasis::kZ)
+                              : static_cast<sim::DetectorBasis>(
+                                    rng.NextBelow(3)));
+            }
+            const DistanceCertificate cert = CertifyDistance(dem);
+            fallback_runs += cert.mitm_pairs > 0 ? 1 : 0;
+            ASSERT_EQ(cert.observables.size(),
+                      static_cast<size_t>(num_obs));
+            for (const ObservableDistance& od : cert.observables) {
+                const int t = truth[static_cast<size_t>(od.observable)];
+                if (t >= 0) {
+                    EXPECT_LE(od.lower_bound, t);
+                    EXPECT_LT(cert.searched_weight, t);
+                }
+                if (od.found) {
+                    ASSERT_GE(t, 0);
+                    EXPECT_EQ(static_cast<int>(od.witness.size()),
+                              od.distance);
+                    std::uint32_t syndrome = 0;
+                    std::uint32_t obs = 0;
+                    for (const int m : od.witness) {
+                        syndrome ^= ordered[static_cast<size_t>(m)].first;
+                        obs ^= ordered[static_cast<size_t>(m)].second;
+                    }
+                    EXPECT_EQ(syndrome, 0u);
+                    EXPECT_EQ(obs >> od.observable & 1u, 1u);
+                }
+                if (od.exact) {
+                    ++exact_claims;
+                    EXPECT_EQ(od.found, t >= 0);
+                    if (od.found) {
+                        EXPECT_EQ(od.distance, t);
+                        EXPECT_EQ(od.lower_bound, t);
+                        exact_above_fallback += t > 5 ? 1 : 0;
+                    }
+                }
+            }
+        }
+    }
+    // The corpus exercises every path: exact claims, the fallback, and
+    // exact distances only the projection bound can prove.
+    EXPECT_GT(exact_claims, 400);
+    EXPECT_GT(fallback_runs, 0);
+    EXPECT_GT(exact_above_fallback, 0);
 }
 
 // WISE wiring folds cooling into two-qubit gate durations; the duration

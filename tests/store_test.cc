@@ -3,6 +3,7 @@
 // contract, the sweep engine's warm-store zero-compile acceptance pin,
 // corruption isolation, and the batch sweep service.
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -110,10 +111,17 @@ TEST(DemIoTest, RoundTripIsByteStableAndLossless)
 {
     const PipelineArtifacts p = BuildPipelineArtifacts();
     const sim::DetectorErrorModel& dem = p.sim.dem;
-    // The fixture must exercise the full format, hyperedges included.
+    // The fixture must exercise the full format, hyperedges and detector
+    // basis tags included.
     ASSERT_GT(dem.num_detectors, 0);
     ASSERT_FALSE(dem.edges.empty());
     ASSERT_FALSE(dem.hyperedges.empty());
+    ASSERT_EQ(dem.detector_basis.size(),
+              static_cast<size_t>(dem.num_detectors));
+    EXPECT_EQ(std::count(dem.detector_basis.begin(),
+                         dem.detector_basis.end(),
+                         sim::DetectorBasis::kUnknown),
+              0);
 
     const std::string text = sim::FormatDem(dem);
     sim::DetectorErrorModel parsed;
@@ -126,6 +134,7 @@ TEST(DemIoTest, RoundTripIsByteStableAndLossless)
     EXPECT_EQ(parsed.edges.size(), dem.edges.size());
     EXPECT_EQ(parsed.hyperedges.size(), dem.hyperedges.size());
     EXPECT_EQ(parsed.num_hyperedges, dem.num_hyperedges);
+    EXPECT_EQ(parsed.detector_basis, dem.detector_basis);
     EXPECT_EQ(parsed.num_undecomposable, dem.num_undecomposable);
     EXPECT_TRUE(SameDouble(parsed.dropped_probability,
                            dem.dropped_probability));
@@ -147,6 +156,41 @@ TEST(DemIoTest, RejectsCorruptText)
     EXPECT_NE(error.find("dem parse"), std::string::npos);
 }
 
+// The basis line carries zero tags or one per detector, each X, Z or -;
+// anything else is a pinned parse error, and an untagged model
+// round-trips as "bases 0".
+TEST(DemIoTest, BasisLineIsCheckedAndUntaggedRoundTrips)
+{
+    const std::string head =
+        "tiqec-dem v2\ncounts 3 1 1 0\ndiag 0 0 0 0\nmass 0 0 0\n";
+    const std::string edge = "e 0 1 0.25 1\n";
+    sim::DetectorErrorModel dem;
+    std::string error;
+
+    ASSERT_TRUE(sim::ParseDem(head + "bases 0\n" + edge, &dem, &error))
+        << error;
+    EXPECT_TRUE(dem.detector_basis.empty());
+    EXPECT_EQ(sim::FormatDem(dem), head + "bases 0\n" + edge);
+
+    ASSERT_TRUE(sim::ParseDem(head + "bases 3 XZ-\n" + edge, &dem, &error))
+        << error;
+    EXPECT_EQ(dem.detector_basis,
+              (std::vector<sim::DetectorBasis>{sim::DetectorBasis::kX,
+                                               sim::DetectorBasis::kZ,
+                                               sim::DetectorBasis::kUnknown}));
+    EXPECT_EQ(sim::FormatDem(dem), head + "bases 3 XZ-\n" + edge);
+
+    EXPECT_FALSE(sim::ParseDem(head + "bases 2 XZ\n" + edge, &dem, &error));
+    EXPECT_EQ(error, "dem parse: bases line has 2 tags for 3 detectors");
+    EXPECT_FALSE(sim::ParseDem(head + "bases 3 XZ\n" + edge, &dem, &error));
+    EXPECT_EQ(error, "dem parse: bases line has 2 tags for 3 detectors");
+    EXPECT_FALSE(sim::ParseDem(head + "bases 3 XYZ\n" + edge, &dem, &error));
+    EXPECT_EQ(error, "dem parse: detector basis out of range in bases line");
+    EXPECT_FALSE(sim::ParseDem(head + edge, &dem, &error));
+    EXPECT_NE(error.find("malformed bases line"), std::string::npos)
+        << error;
+}
+
 TEST(CircuitIoTest, RoundTripIsByteStableAndValidatorClean)
 {
     const PipelineArtifacts p = BuildPipelineArtifacts();
@@ -159,6 +203,12 @@ TEST(CircuitIoTest, RoundTripIsByteStableAndValidatorClean)
     EXPECT_EQ(parsed->num_detectors(), p.sim.experiment.num_detectors());
     EXPECT_EQ(parsed->num_observables(),
               p.sim.experiment.num_observables());
+    for (int d = 0; d < parsed->num_detectors(); ++d) {
+        EXPECT_EQ(parsed->detectors()[d].basis,
+                  p.sim.experiment.detectors()[d].basis);
+        EXPECT_NE(parsed->detectors()[d].basis,
+                  sim::DetectorBasis::kUnknown);
+    }
     // The validate-on-load contract: a round-tripped experiment passes
     // the same static validators the build path does.
     EXPECT_TRUE(
@@ -169,10 +219,28 @@ TEST(CircuitIoTest, RejectsOutOfRangeOperands)
 {
     // A corrupt qubit index must come back as a parse error, never an
     // assert/abort in the replay builders.
-    const std::string text = "tiqec-circuit v1\nqubits 2\nops 1\nH 7\n";
+    const std::string text = "tiqec-circuit v2\nqubits 2\nops 1\nH 7\n";
     std::string error;
     EXPECT_FALSE(sim::ParseNoisyCircuit(text, &error).has_value());
-    EXPECT_NE(error.find("circuit parse"), std::string::npos);
+    EXPECT_EQ(error, "circuit parse: qubit out of range in op 0");
+}
+
+TEST(CircuitIoTest, DetectorBasisRoundTripsAndIsChecked)
+{
+    const std::string head = "tiqec-circuit v2\nqubits 1\nops 3\nM 0 0\n";
+    const std::string det = "DET 0 0 0 X 1 0\n";
+    const std::string obs = "OBS 0 1 0\n";
+    std::string error;
+    const std::optional<sim::NoisyCircuit> parsed =
+        sim::ParseNoisyCircuit(head + det + obs, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(parsed->detectors()[0].basis, sim::DetectorBasis::kX);
+    EXPECT_EQ(sim::FormatNoisyCircuit(*parsed), head + det + obs);
+
+    EXPECT_FALSE(sim::ParseNoisyCircuit(head + "DET 0 0 0 Y 1 0\n" + obs,
+                                        &error)
+                     .has_value());
+    EXPECT_EQ(error, "circuit parse: detector basis out of range in op 1");
 }
 
 TEST(ProfileIoTest, RoundTripIsByteStable)

@@ -184,6 +184,9 @@ CertifyRequest(const std::string& line,
     }
     const bool certified = diags.empty();
     r.Add("certified", certified);
+    r.Add("projection_states", cert.projection_states);
+    r.Add("witness_states", cert.witness_states);
+    r.Add("mitm_pairs", cert.mitm_pairs);
     if (!certified) {
         r.Add("error", analysis::FormatDiagnostics(
                            analysis::kCertifySubject, diags));
