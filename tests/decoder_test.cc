@@ -5,13 +5,17 @@
  * end-to-end logical error suppression with distance.
  */
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "compiler/compiler.h"
+#include "core/request.h"
+#include "core/sweep.h"
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "qec/surgery.h"
@@ -310,6 +314,122 @@ TEST(CorrelatedDecodeTest, RecoversMechanismActionsOnCompiledSurgeryDem)
         plain_correct += plain.Decode(syndrome) == h.obs_mask;
     }
     EXPECT_GT(correlated_correct, plain_correct);
+}
+
+// ---------------------------------------------------------------------------
+// Golden prediction digests: exact DecodeBatch output on fixed-seed batches
+// ---------------------------------------------------------------------------
+
+/** FNV-1a-64 over the little-endian bytes of `word`. */
+std::uint64_t
+Fnv1a(std::uint64_t hash, std::uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        hash ^= (word >> (8 * b)) & 0xFF;
+        hash *= 0x100000001B3ULL;
+    }
+    return hash;
+}
+
+/** The experiment + DEM of one request line (the sweep's build-sim
+ *  stage; the request's own Monte-Carlo budget is a token 64 shots). */
+std::shared_ptr<const core::SimArtifacts>
+SimArtifactsFor(const std::string& line)
+{
+    core::SweepCandidate candidate;
+    std::string error;
+    EXPECT_TRUE(core::ParseRequestCandidate(
+        line + " shots=64 target_errors=0", &candidate, &error))
+        << error;
+    core::SweepRunnerOptions opts;
+    opts.num_threads = 1;
+    const auto outcomes = core::SweepRunner(opts).RunDetailed({candidate});
+    EXPECT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].metrics.ok) << outcomes[0].metrics.error;
+    return outcomes[0].sim;
+}
+
+/** Digest of a fresh correlated decoder's DecodeBatch over 8,192 shots
+ *  sampled at `seed`: FNV-1a-64 of every prediction plane word, then of
+ *  decoded_shots. */
+std::uint64_t
+PredictionDigest(const core::SimArtifacts& sim, std::uint64_t seed,
+                 UnionFindDecoder::BatchOutcome* outcome = nullptr)
+{
+    sim::FrameSimulator simulator(sim.experiment, seed);
+    const sim::SampleBatch batch = simulator.Sample(8192);
+    UnionFindDecoder decoder(sim.dem);
+    std::vector<std::uint64_t> predictions;
+    const auto out = decoder.DecodeBatch(batch, predictions);
+    EXPECT_TRUE(out.completed);
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    for (const std::uint64_t word : predictions) {
+        hash = Fnv1a(hash, word);
+    }
+    hash = Fnv1a(hash, static_cast<std::uint64_t>(out.decoded_shots));
+    if (outcome != nullptr) {
+        *outcome = out;
+    }
+    return hash;
+}
+
+/**
+ * Pins the exact predictions of the production (correlated) decoder on
+ * every experiment shape the LER requests decode: memory at d=3/5/7 on
+ * the grid at 1X and 5X, a dense linear-capacity-3 DEM, surgery,
+ * stability and the cnot/bell programs. A decoder optimisation must
+ * leave every digest unchanged; a deliberate change in decoded output
+ * must re-record them and say why.
+ */
+TEST(GoldenDecodeTest, PredictionDigestsArePinned)
+{
+    struct Golden
+    {
+        const char* line;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {"family=rotated distance=3 topology=grid capacity=2",
+         0xb00b7fbe56f19b5aULL},
+        {"family=rotated distance=3 topology=grid capacity=2 "
+         "improvement=5",
+         0x8d2842c76fac3f02ULL},
+        {"family=rotated distance=5 topology=grid capacity=2",
+         0xba1398b1801c5279ULL},
+        {"family=rotated distance=5 topology=grid capacity=2 "
+         "improvement=5",
+         0x1107be43217a2ddbULL},
+        {"family=rotated distance=7 topology=grid capacity=2",
+         0x967ace37c606bbceULL},
+        {"family=rotated distance=7 topology=grid capacity=2 "
+         "improvement=5",
+         0xba37b0bc17ecaf3aULL},
+        {"family=rotated distance=5 topology=linear capacity=3",
+         0x1dbd0ac9dfd385c4ULL},
+        {"family=merged_zz distance=3 topology=grid capacity=2 "
+         "workload=surgery",
+         0xafd87b3cb8d9ec84ULL},
+        {"family=merged_zz distance=5 topology=grid capacity=2 "
+         "workload=surgery",
+         0x5c898c93adc964beULL},
+        {"family=merged_xx distance=3 topology=grid capacity=2 "
+         "workload=surgery",
+         0x52e150371800498cULL},
+        {"family=merged_zz distance=3 topology=grid capacity=2 "
+         "workload=stability",
+         0xf89d0539c4fa90fcULL},
+        {"workload=program program=cnot distance=3",
+         0x93ec3eadb07e7464ULL},
+        {"workload=program program=bell distance=3",
+         0x2850f64a482ceb71ULL},
+    };
+    for (const Golden& g : goldens) {
+        const auto sim = SimArtifactsFor(g.line);
+        ASSERT_NE(sim, nullptr) << g.line;
+        const std::uint64_t digest = PredictionDigest(*sim, 0x601D);
+        EXPECT_EQ(digest, g.digest)
+            << g.line << ": digest 0x" << std::hex << digest;
+    }
 }
 
 TEST(LogicalErrorTest, SuppressionWithDistance)
