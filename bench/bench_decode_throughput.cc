@@ -319,9 +319,13 @@ ScalarErrors(decoder::UnionFindDecoder& decoder,
 std::int64_t
 BatchErrors(decoder::UnionFindDecoder& decoder,
             const sim::SampleBatch& batch,
-            std::vector<std::uint64_t>& predictions)
+            std::vector<std::uint64_t>& predictions,
+            decoder::UnionFindDecoder::BatchOutcome* outcome = nullptr)
 {
-    decoder.DecodeBatch(batch, predictions);
+    const auto out = decoder.DecodeBatch(batch, predictions);
+    if (outcome != nullptr) {
+        *outcome = out;
+    }
     std::int64_t errors = 0;
     for (int w = 0; w < batch.words(); ++w) {
         const std::uint64_t actual =
@@ -362,11 +366,14 @@ PrintThroughputTable()
                 "batch  = DecodePath::kBatch, correlated stage off "
                 "(mask + sparse extraction + DecodeBatch)\n"
                 "corr   = DecodePath::kBatch, weighted forest + "
-                "hyperedge stage (production default; fewer errors)\n\n");
-    std::printf("%-4s %-6s %11s %13s %13s %13s %13s %9s %9s\n", "d",
-                "gates", "nontrivial", "legacy(sh/s)", "scalar(sh/s)",
-                "batch(sh/s)", "corr(sh/s)", "vs legacy", "corr cost");
-    tiqec::bench::Rule(100);
+                "hyperedge stage (production default; fewer errors)\n"
+                "forest = peeling-forest nodes settled per decoded shot "
+                "(batch / corr)\n\n");
+    std::printf("%-4s %-6s %11s %13s %13s %13s %13s %9s %9s %13s\n",
+                "d", "gates", "nontrivial", "legacy(sh/s)",
+                "scalar(sh/s)", "batch(sh/s)", "corr(sh/s)", "vs legacy",
+                "corr cost", "forest");
+    tiqec::bench::Rule(114);
     for (const int d : {3, 5}) {
         for (const double improvement : {1.0, 3.0, 10.0}) {
             const Workload w = MakeWorkload(d, improvement, shots);
@@ -378,14 +385,23 @@ PrintThroughputTable()
             decoder::UnionFindDecoder corr_decoder(w.dem);
             std::vector<std::uint64_t> predictions;
             std::vector<std::uint64_t> corr_predictions;
+            decoder::UnionFindDecoder::BatchOutcome batch_work;
+            decoder::UnionFindDecoder::BatchOutcome corr_work;
             const std::int64_t legacy_errors =
                 LegacyErrors(legacy_decoder, w.batch);
             const std::int64_t scalar_errors =
                 ScalarErrors(scalar_decoder, w.batch);
-            const std::int64_t batch_errors =
-                BatchErrors(batch_decoder, w.batch, predictions);
-            const std::int64_t corr_errors =
-                BatchErrors(corr_decoder, w.batch, corr_predictions);
+            const std::int64_t batch_errors = BatchErrors(
+                batch_decoder, w.batch, predictions, &batch_work);
+            const std::int64_t corr_errors = BatchErrors(
+                corr_decoder, w.batch, corr_predictions, &corr_work);
+            const auto forest_per_shot =
+                [](const decoder::UnionFindDecoder::BatchOutcome& o) {
+                    return o.decoded_shots > 0
+                               ? static_cast<double>(o.forest_nodes) /
+                                     o.decoded_shots
+                               : 0.0;
+                };
             if (scalar_errors != batch_errors ||
                 legacy_errors != batch_errors) {
                 std::printf("MISMATCH d=%d: legacy=%lld scalar=%lld "
@@ -416,23 +432,29 @@ PrintThroughputTable()
                 static_cast<double>(w.batch.CountNonTrivialShots()) /
                 shots;
             std::printf("%-4d %-6.0f %10.1f%% %13.0f %13.0f %13.0f "
-                        "%13.0f %8.2fx %8.2fx\n",
+                        "%13.0f %8.2fx %8.2fx %6.1f/%-6.1f\n",
                         d, improvement, 100.0 * frac, legacy_tput,
                         scalar_tput, batch_tput, corr_tput,
                         batch_tput / legacy_tput,
-                        batch_tput / corr_tput);
+                        batch_tput / corr_tput,
+                        forest_per_shot(batch_work),
+                        forest_per_shot(corr_work));
             struct PathPoint
             {
                 const char* path;
                 double tput;
                 std::int64_t errors;
                 bool correlated;
+                /** DecodeBatch work counters (batch paths only). */
+                const decoder::UnionFindDecoder::BatchOutcome* work;
             };
             for (const PathPoint& p :
-                 {PathPoint{"legacy", legacy_tput, legacy_errors, false},
-                  {"scalar", scalar_tput, scalar_errors, false},
-                  {"batch", batch_tput, batch_errors, false},
-                  {"batch_correlated", corr_tput, corr_errors, true}}) {
+                 {PathPoint{"legacy", legacy_tput, legacy_errors, false,
+                            nullptr},
+                  {"scalar", scalar_tput, scalar_errors, false, nullptr},
+                  {"batch", batch_tput, batch_errors, false, &batch_work},
+                  {"batch_correlated", corr_tput, corr_errors, true,
+                   &corr_work}}) {
                 bench::JsonRecord r;
                 r.Add("workload", "memory_z");
                 r.Add("distance", d);
@@ -447,6 +469,10 @@ PrintThroughputTable()
                 r.Add("errors", p.errors);
                 r.Add("errors_agree", legacy_errors == batch_errors &&
                                           scalar_errors == batch_errors);
+                if (p.work != nullptr) {
+                    r.Add("forest_nodes_per_shot",
+                          forest_per_shot(*p.work));
+                }
                 records.push_back(std::move(r));
             }
         }

@@ -24,6 +24,12 @@ carries several percent of run-to-run noise on a shared box:
 
 A config is gated only when it appears in both the baseline and the
 fresh run (smoke runs measure a subset of the committed full-run axes).
+
+One absolute within-host floor rides along: the production correlated
+decoder must reach at least 2/3 of the plain batch decoder's shots/sec
+on memory_z d=5 1X (CORRELATED_FLOOR; both measured in the same
+process). A fresh run without that config is not gated; a fresh run
+with it but missing either path fails.
 Correctness flags are hard failures regardless of threshold: a fresh
 compile record with identical=false or a decode record with
 errors_agree=false means the measured configuration is broken, not slow.
@@ -41,6 +47,10 @@ import json
 import math
 import os
 import sys
+
+# batch_correlated / batch shots/sec floor, and the config it applies to.
+CORRELATED_FLOOR = 2.0 / 3.0
+CORRELATED_FLOOR_CONFIG = ("memory_z", 5, 1)
 
 
 def load_results(path):
@@ -204,6 +214,33 @@ def check_decode(baseline_dir, fresh_dir, threshold, failures):
                 f"{cfg[0]} d={cfg[1]} {cfg[2]}x path={path_name}",
                 base_ratio, fresh_ratio)
     gate.verdict(failures)
+    check_correlated_floor(fresh_cfg, failures)
+
+
+def check_correlated_floor(fresh_cfg, failures):
+    """Fails when the fresh correlated decoder is slower than
+    CORRELATED_FLOOR x the plain batch decoder on the floor config."""
+    paths = fresh_cfg.get(CORRELATED_FLOOR_CONFIG)
+    if paths is None:
+        return  # config not measured in this run
+    name = "{} d={} {}x".format(*CORRELATED_FLOOR_CONFIG)
+    plain = paths.get("batch", {}).get("value")
+    corr = paths.get("batch_correlated", {}).get("value")
+    if not positive_finite(plain) or not positive_finite(corr):
+        failures.append(
+            f"correlated floor {name}: batch or batch_correlated record "
+            f"missing or non-positive (batch={plain!r}, "
+            f"batch_correlated={corr!r})")
+        return
+    ratio = corr / plain
+    flag = "" if ratio >= CORRELATED_FLOOR else "  <-- LOW"
+    print(f"  correlated floor {name}: batch_correlated/batch = "
+          f"{ratio:.3f} (floor {CORRELATED_FLOOR:.3f}){flag}")
+    if ratio < CORRELATED_FLOOR:
+        failures.append(
+            f"correlated floor {name}: batch_correlated reaches "
+            f"{ratio:.1%} of batch shots/sec (floor "
+            f"{CORRELATED_FLOOR:.1%})")
 
 
 def main():

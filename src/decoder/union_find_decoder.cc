@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace tiqec::decoder {
 
@@ -14,17 +14,28 @@ UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
     : num_detectors_(dem.num_detectors)
 {
     edges_.reserve(dem.edges.size());
-    incident_.resize(num_detectors_ + 1);
+    incident_off_.assign(num_detectors_ + 1, 0);
     for (const auto& e : dem.edges) {
         const std::int32_t v =
             e.d1 == sim::DemEdge::kBoundary ? BoundaryNode() : e.d1;
-        const auto idx = static_cast<std::int32_t>(edges_.size());
         edges_.push_back({e.d0, v, e.obs_mask});
-        incident_[e.d0].push_back(idx);
+        ++incident_off_[e.d0 + 1];
         if (v != BoundaryNode()) {
-            incident_[v].push_back(idx);
-        } else {
-            incident_[BoundaryNode()].push_back(idx);
+            ++incident_off_[v + 1];
+        }
+    }
+    for (int i = 0; i < num_detectors_; ++i) {
+        incident_off_[i + 1] += incident_off_[i];
+    }
+    // Filled in edge order, so every node lists its edges in DEM order.
+    incident_edges_.resize(incident_off_.back());
+    std::vector<std::int32_t> fill(incident_off_.begin(),
+                                   incident_off_.end() - 1);
+    for (size_t i = 0; i < edges_.size(); ++i) {
+        const Edge& e = edges_[i];
+        incident_edges_[fill[e.u]++] = static_cast<std::int32_t>(i);
+        if (e.v != BoundaryNode()) {
+            incident_edges_[fill[e.v]++] = static_cast<std::int32_t>(i);
         }
     }
     const int n = num_detectors_ + 1;
@@ -218,7 +229,7 @@ UnionFindDecoder::BuildBfsForest()
 }
 
 void
-UnionFindDecoder::BuildWeightedForest()
+UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
 {
     // Multi-source Dijkstra under w = -log p: every node's parent edge
     // lies on its most probable path to the boundary (or to the cluster
@@ -226,6 +237,16 @@ UnionFindDecoder::BuildWeightedForest()
     // instead of arbitrary BFS trees. Lazy deletion: stale heap entries
     // are skipped via visited_. Ties break on (node, edge) so decodes
     // are deterministic for any probability assignment.
+    //
+    // The peel only flips tree edges with a defect beneath them, so each
+    // search settles just the nodes that can lie on such a path
+    // (DESIGN.md §3.6):
+    //  - a non-defect node with one grown edge is never pushed: no path
+    //    runs through it and nothing lies beneath it;
+    //  - a search stops once its last defect has settled. Dijkstra
+    //    settles a parent before its children, so every parent edge a
+    //    defect's path uses is already final, and the unsettled rest
+    //    holds no defect.
     auto greater = [](const HeapEntry& a, const HeapEntry& b) {
         if (a.dist != b.dist) {
             return a.dist > b.dist;
@@ -235,8 +256,11 @@ UnionFindDecoder::BuildWeightedForest()
         }
         return a.pe > b.pe;
     };
-    auto run = [&]() {
-        while (!heap_.empty()) {
+    auto dead_leaf = [&](int node) {
+        return !defect_[node] && grown_adj_[node].size() == 1;
+    };
+    auto run = [&](int defects) {
+        while (defects > 0 && !heap_.empty()) {
             std::pop_heap(heap_.begin(), heap_.end(), greater);
             const HeapEntry top = heap_.back();
             heap_.pop_back();
@@ -246,10 +270,12 @@ UnionFindDecoder::BuildWeightedForest()
             visited_[top.node] = 1;
             parent_edge_[top.node] = top.pe;
             order_.push_back(top.node);
+            defects -= defect_[top.node];
             for (const std::int32_t ei : grown_adj_[top.node]) {
                 const Edge& e = edges_[ei];
                 const int other = e.u == top.node ? e.v : e.u;
-                if (other == BoundaryNode() || visited_[other]) {
+                if (other == BoundaryNode() || visited_[other] ||
+                    dead_leaf(other)) {
                     continue;
                 }
                 heap_.push_back({top.dist + edge_weight_[ei],
@@ -257,19 +283,36 @@ UnionFindDecoder::BuildWeightedForest()
                 std::push_heap(heap_.begin(), heap_.end(), greater);
             }
         }
+        heap_.clear();
     };
-    for (const std::int32_t ei : grown_edges_) {
-        const Edge& e = edges_[ei];
-        if (e.v == BoundaryNode() && !visited_[e.u]) {
-            heap_.push_back({edge_weight_[ei], e.u, ei});
-            std::push_heap(heap_.begin(), heap_.end(), greater);
+    // Every defect of a boundary-touching cluster drains towards the
+    // boundary: one multi-source search from all grown boundary edges.
+    // (A boundary-seeded node is never a dead leaf: it is a defect, or
+    // growth reached it over a second grown edge.)
+    int boundary_defects = 0;
+    for (size_t ci = 0; ci < syndrome.size(); ++ci) {
+        if (clusters_[ci].boundary &&
+            cluster_of_root_[Find(syndrome[ci])] ==
+                static_cast<std::int32_t>(ci)) {
+            boundary_defects += clusters_[ci].parity;
         }
     }
-    run();
-    for (const std::int32_t node : touched_nodes_) {
-        if (!visited_[node]) {
-            heap_.push_back({0.0, node, -1});  // interior forest root
-            run();
+    if (boundary_defects > 0) {
+        for (const std::int32_t ei : grown_edges_) {
+            const Edge& e = edges_[ei];
+            if (e.v == BoundaryNode()) {
+                heap_.push_back({edge_weight_[ei], e.u, ei});
+                std::push_heap(heap_.begin(), heap_.end(), greater);
+            }
+        }
+        run(boundary_defects);
+    }
+    // Each remaining (even, boundary-less) cluster roots at its first
+    // defect in syndrome order.
+    for (const int d : syndrome) {
+        if (!visited_[d]) {
+            heap_.push_back({0.0, d, -1});  // interior forest root
+            run(clusters_[cluster_of_root_[Find(d)]].parity);
         }
     }
 }
@@ -293,7 +336,18 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
 
     for (size_t i = 0; i < syndrome.size(); ++i) {
         const int d = syndrome[i];
-        assert(d >= 0 && d < num_detectors_);
+        const bool in_range = d >= 0 && d < num_detectors_;
+        if (!in_range || in_cluster_[d]) {
+            // A repeated detector has even parity, not a defect, and the
+            // forest's per-cluster defect counts assume distinct seeds.
+            ResetScratch();
+            throw std::invalid_argument(
+                "UnionFindDecoder: syndrome detector " +
+                std::to_string(d) +
+                (in_range ? " is listed twice"
+                          : " is out of range [0, " +
+                                std::to_string(num_detectors_) + ")"));
+        }
         touch(d);
         defect_[d] = 1;
         Cluster& c = clusters_[i];
@@ -323,7 +377,7 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             frontier_scratch_.clear();
             frontier_scratch_.swap(c.frontier);
             for (const std::int32_t node : frontier_scratch_) {
-                for (const std::int32_t ei : incident_[node]) {
+                for (const std::int32_t ei : Incident(node)) {
                     if (edge_grown_[ei]) {
                         continue;
                     }
@@ -398,7 +452,7 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
     // node would become its own parentless root and defects could never
     // drain along tree edges.
     if (weighted_) {
-        BuildWeightedForest();
+        BuildWeightedForest(syndrome);
     } else {
         BuildBfsForest();
     }
@@ -472,6 +526,8 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
         }
     }
 
+    work_grown_edges_ += static_cast<std::int64_t>(grown_edges_.size());
+    work_forest_nodes_ += static_cast<std::int64_t>(order_.size());
     ResetScratch();
     return correction;
 }
@@ -493,9 +549,13 @@ UnionFindDecoder::DecodeBatch(const sim::SampleBatch& batch,
     batch.ExtractSyndromes(syndromes_scratch_, &mask_scratch_);
     const std::uint32_t obs_limit =
         num_obs >= 32 ? ~0u : (1u << num_obs) - 1;
+    work_grown_edges_ = 0;
+    work_forest_nodes_ = 0;
+    out.completed = true;
     for (int w = 0; w < words; ++w) {
         if (cancelled && cancelled()) {
-            return out;  // completed stays false
+            out.completed = false;
+            break;
         }
         std::uint64_t live = mask_scratch_[w];
         while (live) {
@@ -520,7 +580,8 @@ UnionFindDecoder::DecodeBatch(const sim::SampleBatch& batch,
             }
         }
     }
-    out.completed = true;
+    out.grown_edges = work_grown_edges_;
+    out.forest_nodes = work_forest_nodes_;
     return out;
 }
 

@@ -11,6 +11,15 @@
  *     from the leaves; a leaf edge joins the correction iff its leaf node
  *     carries a defect, and the defect parity is pushed to the parent.
  *
+ * In the correlated mode the forest is a most-probable-path Dijkstra
+ * search that settles only what the peel can use (DESIGN.md §3.6): a
+ * non-defect node with a single grown edge is never pushed, the
+ * boundary search stops once every defect of a boundary-touching
+ * cluster has settled, and each interior search roots at its cluster's
+ * first defect and stops at the cluster's last. Parents settle before
+ * children, so the parent edges above every defect, and hence the
+ * predictions, are those of the exhaustive search.
+ *
  * The predicted logical-observable flip is the XOR of the observable
  * masks of the correction edges. This is the standard almost-linear-time
  * surface-code decoder; its threshold is slightly below matching (MWPM)
@@ -79,11 +88,13 @@ class UnionFindDecoder
     }
 
     /**
-     * Decodes one syndrome (list of fired detector indices).
+     * Decodes one syndrome (list of distinct fired detector indices).
      * @return bitmask of observables predicted to have flipped.
+     * @throws std::invalid_argument if a detector index is out of range
+     *   or listed twice.
      * @throws std::runtime_error if an odd cluster cannot reach a
-     *   boundary (its DEM component has no boundary edge); the decoder
-     *   stays usable afterwards.
+     *   boundary (its DEM component has no boundary edge).
+     * The decoder stays usable after either.
      */
     std::uint32_t Decode(std::span<const int> syndrome);
     std::uint32_t Decode(std::initializer_list<int> syndrome)
@@ -98,6 +109,11 @@ class UnionFindDecoder
         /** Non-trivial shots actually decoded (trivial shots are
          *  skipped in 64-shot words; their prediction is 0). */
         std::int64_t decoded_shots = 0;
+        /** Deterministic work counters summed over the decoded shots:
+         *  edges absorbed by cluster growth, and nodes the peeling
+         *  forest settled. */
+        std::int64_t grown_edges = 0;
+        std::int64_t forest_nodes = 0;
         /** False iff the `cancelled` callback stopped the batch. */
         bool completed = false;
     };
@@ -151,20 +167,30 @@ class UnionFindDecoder
     int Find(int x);
 
     /** Spanning-forest builders over the grown edges: unweighted BFS
-     *  (the PR-5 baseline) or most-probable-path Dijkstra under
-     *  w = -log p. Both root boundary-touching clusters at the boundary
-     *  and append nodes to order_ parent-before-child for the peel. */
+     *  over every touched node (the PR-5 baseline) or most-probable-path
+     *  Dijkstra under w = -log p over the nodes the peel can use. Both
+     *  root boundary-touching clusters at the boundary and append nodes
+     *  to order_ parent-before-child for the peel. */
     void BuildBfsForest();
-    void BuildWeightedForest();
+    void BuildWeightedForest(std::span<const int> syndrome);
 
     /** Restores all touched scratch to its idle state; called on every
      *  exit path of the decode core (including the throwing one). */
     void ResetScratch();
 
+    /** DEM edges at detector `node`, in DEM order. */
+    std::span<const std::int32_t> Incident(int node) const
+    {
+        return {incident_edges_.data() + incident_off_[node],
+                incident_edges_.data() + incident_off_[node + 1]};
+    }
+
     int num_detectors_ = 0;
     std::vector<Edge> edges_;
-    /** Adjacency: per node, indices into edges_. */
-    std::vector<std::vector<std::int32_t>> incident_;
+    /** Adjacency (CSR): detector i's edge indices are
+     *  incident_edges_[incident_off_[i] .. incident_off_[i + 1]). */
+    std::vector<std::int32_t> incident_off_;
+    std::vector<std::int32_t> incident_edges_;
 
     // Scratch, reused across Decode/DecodeBatch calls. Everything is
     // reset via touched_nodes_ / grown_edges_, so a decode costs
@@ -182,6 +208,9 @@ class UnionFindDecoder
     std::vector<std::int32_t> order_;
     std::vector<std::int32_t> parent_edge_;
     std::vector<char> visited_;
+    /** BatchOutcome work counters, accumulated by every decode. */
+    std::int64_t work_grown_edges_ = 0;
+    std::int64_t work_forest_nodes_ = 0;
 
     // Weighted-forest tables and scratch (edge_weight_ empty and heap_
     // unused when Options::correlated is false).

@@ -95,6 +95,36 @@ TEST(UnionFindDecoderTest, OddClusterWithoutBoundaryThrows)
     EXPECT_EQ(decoder.Decode({}), 0u);
 }
 
+TEST(UnionFindDecoderTest, MalformedSyndromesAreRejected)
+{
+    UnionFindDecoder decoder(ChainDem());
+    // A detector listed twice has even parity: it is not one defect.
+    try {
+        decoder.Decode({2, 2});
+        ADD_FAILURE() << "repeated detector accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(),
+                     "UnionFindDecoder: syndrome detector 2 is listed "
+                     "twice");
+    }
+    for (const int bad : {3, -1}) {
+        try {
+            decoder.Decode({0, bad});
+            ADD_FAILURE() << "out-of-range detector " << bad
+                          << " accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "UnionFindDecoder: syndrome detector " +
+                          std::to_string(bad) +
+                          " is out of range [0, 3)");
+        }
+    }
+    // Both rejections leave the scratch clean.
+    EXPECT_EQ(decoder.Decode({0}), 1u);
+    EXPECT_EQ(decoder.Decode({0, 1}), 0u);
+    EXPECT_EQ(decoder.Decode({2}), 0u);
+}
+
 TEST(UnionFindDecoderTest, DecodeBatchMatchesScalarOnHandPackedChain)
 {
     UnionFindDecoder decoder(ChainDem());
@@ -430,6 +460,21 @@ TEST(GoldenDecodeTest, PredictionDigestsArePinned)
         EXPECT_EQ(digest, g.digest)
             << g.line << ": digest 0x" << std::hex << digest;
     }
+}
+
+/** DecodeBatch's deterministic work counters on the d=5 1X memory batch:
+ *  growth is unchanged by forest optimisations, and the forest settles
+ *  only the nodes the peel can use. */
+TEST(GoldenDecodeTest, WorkCountersArePinned)
+{
+    const auto sim =
+        SimArtifactsFor("family=rotated distance=5 topology=grid capacity=2");
+    ASSERT_NE(sim, nullptr);
+    UnionFindDecoder::BatchOutcome outcome;
+    PredictionDigest(*sim, 0x601D, &outcome);
+    EXPECT_EQ(outcome.decoded_shots, 7873);
+    EXPECT_EQ(outcome.grown_edges, 295905);
+    EXPECT_EQ(outcome.forest_nodes, 80241);
 }
 
 TEST(LogicalErrorTest, SuppressionWithDistance)
