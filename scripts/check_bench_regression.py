@@ -25,11 +25,17 @@ carries several percent of run-to-run noise on a shared box:
 A config is gated only when it appears in both the baseline and the
 fresh run (smoke runs measure a subset of the committed full-run axes).
 
-One absolute within-host floor rides along: the production correlated
-decoder must reach at least 2/3 of the plain batch decoder's shots/sec
-on memory_z d=5 1X (CORRELATED_FLOOR; both measured in the same
-process). A fresh run without that config is not gated; a fresh run
-with it but missing either path fails.
+Two absolute within-host floors ride along:
+
+  - the production correlated decoder must reach at least 2/3 of the
+    plain batch decoder's shots/sec on memory_z d=5 1X
+    (CORRELATED_FLOOR; both measured in the same process). A fresh run
+    without that config is not gated; a fresh run with it but missing
+    either path fails.
+  - on every WISE-wiring compile row at d >= 7 the fast pipeline must
+    be at least as fast as the reference (WISE_FLOOR; the WISE conflict
+    search once made it ~2.6x slower at d=9).
+
 Correctness flags are hard failures regardless of threshold: a fresh
 compile record with identical=false or a decode record with
 errors_agree=false means the measured configuration is broken, not slow.
@@ -51,6 +57,9 @@ import sys
 # batch_correlated / batch shots/sec floor, and the config it applies to.
 CORRELATED_FLOOR = 2.0 / 3.0
 CORRELATED_FLOOR_CONFIG = ("memory_z", 5, 1)
+# fast/reference compile speedup floor on WISE rows from this distance up.
+WISE_FLOOR = 1.0
+WISE_FLOOR_MIN_DISTANCE = 7
 
 
 def load_results(path):
@@ -142,7 +151,8 @@ def check_compile(baseline_dir, fresh_dir, threshold, failures):
     fresh = load_results(os.path.join(fresh_dir, "BENCH_compile.json"))
 
     def key(r):
-        return (r["distance"], r["topology"])
+        # Snapshots from before the WISE rows carry no wiring field.
+        return (r["distance"], r["topology"], r.get("wiring", "standard"))
 
     base_by_key = {key(r): r for r in base}
     print("compile_throughput (fast/reference speedup):")
@@ -153,14 +163,30 @@ def check_compile(baseline_dir, fresh_dir, threshold, failures):
                 f"compile {key(r)}: fast pipeline output is not "
                 f"bit-identical to the reference pipeline")
             continue
+        name = "d={} {} {}".format(*key(r))
+        check_wise_floor(name, r, failures)
         b = base_by_key.get(key(r))
         if b is None:
             continue  # axis mismatch (smoke subset), not a failure
         # gate.add flags a missing/zero/null speedup as a correctness
         # failure; the old `<= 0` pre-check silently skipped it.
-        gate.add(f"d={r['distance']} {r['topology']}", b.get("speedup"),
-                 r.get("speedup"))
+        gate.add(name, b.get("speedup"), r.get("speedup"))
     gate.verdict(failures)
+
+
+def check_wise_floor(name, r, failures):
+    """Fails when a fresh WISE compile row at d >= WISE_FLOOR_MIN_DISTANCE
+    has a fast/reference speedup below WISE_FLOOR."""
+    if r.get("wiring") != "wise" or r["distance"] < WISE_FLOOR_MIN_DISTANCE:
+        return
+    speedup = r.get("speedup")
+    if not positive_finite(speedup) or speedup < WISE_FLOOR:
+        failures.append(
+            f"wise floor {name}: fast/reference speedup {speedup!r} "
+            f"(floor {WISE_FLOOR:.1f})")
+        return
+    print(f"  wise floor {name}: speedup = {speedup:.3f} "
+          f"(floor {WISE_FLOOR:.1f})")
 
 
 def check_decode(baseline_dir, fresh_dir, threshold, failures):

@@ -14,7 +14,9 @@
  *  - the WISE cross-kind conflict search processes the other kinds'
  *    scheduled intervals in nondecreasing start order (a single sweep
  *    reaches the same least fixpoint the reference's repeated full
- *    rescans converge to) over per-kind start-sorted interval lists;
+ *    rescans converge to) over per-kind start-sorted interval lists,
+ *    each swept from its first interval that ends after the op's lower
+ *    bound (the skipped prefix can never delay the op);
  *  - all working state is thread_local and reused across calls, and the
  *    schedule stats are accumulated inline instead of via a second pass.
  */
@@ -234,11 +236,31 @@ ScheduleStream(const std::vector<PrimitiveOp>& ops,
     for (auto& intervals : wise_intervals) {
         intervals.clear();
     }
+    // Every interval of one transport kind lasts that kind's fixed
+    // duration_of[kind] (cooling applies only to MS and gate swaps), so
+    // each start-sorted list is also end-sorted and the intervals that
+    // end at or before `lower` form a prefix. The sweep starts each list
+    // past that prefix: a skipped interval ends at or before lower <= s,
+    // so it can never move `s`, and with positive durations it starts
+    // before s + duration, so it can never trigger the early break. The
+    // rest merge in the same order, so the result is the full sweep's,
+    // without its cost linear in the intervals of the current pass.
     auto wise_earliest = [&](int rank, Microseconds lower,
                              Microseconds duration) {
         Microseconds s = lower;
         // Merge-sweep the four other kinds' start-sorted interval lists.
         size_t idx[kNumTransportKinds] = {};
+        for (int k = 0; k < kNumTransportKinds; ++k) {
+            if (k != rank) {
+                const auto& intervals = wise_intervals[k];
+                idx[k] = std::partition_point(
+                             intervals.begin(), intervals.end(),
+                             [&](const Interval& iv) {
+                                 return iv.second <= lower;
+                             }) -
+                         intervals.begin();
+            }
+        }
         while (true) {
             int best = -1;
             for (int k = 0; k < kNumTransportKinds; ++k) {

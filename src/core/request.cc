@@ -1,5 +1,6 @@
 #include "core/request.h"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -70,6 +71,18 @@ ParseBool01(const std::string& value, const std::string& key)
                                 "'");
 }
 
+/** A Monte-Carlo budget (`shots`, `target_errors`); negative is an error. */
+std::int64_t
+ParseBudget(const std::string& value, const std::string& key)
+{
+    const std::int64_t budget = text::ParseInt64(value, key);
+    if (budget < 0) {
+        throw std::invalid_argument(key + " must be >= 0, got '" + value +
+                                    "'");
+    }
+    return budget;
+}
+
 }  // namespace
 
 bool
@@ -102,18 +115,25 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
             } else if (key == "wiring") {
                 spec.arch.wiring = ParseWiring(value);
             } else if (key == "improvement") {
-                spec.arch.gate_improvement =
+                // 0 would put every two-qubit gate at p=1, a negative
+                // factor gives a noiseless run and NaN null errors.
+                const double improvement =
                     text::ParseDouble(value, "improvement");
+                if (!std::isfinite(improvement) || improvement <= 0.0) {
+                    throw std::invalid_argument(
+                        "improvement must be finite and > 0, got '" +
+                        value + "'");
+                }
+                spec.arch.gate_improvement = improvement;
             } else if (key == "rounds") {
                 spec.options.rounds = text::ParseInt32(value, "rounds");
             } else if (key == "compile_rounds") {
                 spec.compile_rounds =
                     text::ParseInt32(value, "compile_rounds");
             } else if (key == "shots") {
-                spec.options.max_shots = text::ParseInt64(value, "shots");
+                spec.options.max_shots = ParseBudget(value, key);
             } else if (key == "target_errors") {
-                spec.options.target_logical_errors =
-                    text::ParseInt64(value, "target_errors");
+                spec.options.target_logical_errors = ParseBudget(value, key);
             } else if (key == "seed") {
                 spec.options.seed = static_cast<std::uint64_t>(
                     text::ParseInt64(value, "seed"));

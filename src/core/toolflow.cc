@@ -125,11 +125,7 @@ AnnotateCandidate(const qec::StabilizerCode& code,
             "AnnotateCandidate: requires a successful one-round "
             "compilation");
     }
-    // AnnotateRound back-fills chain_size / nbar on the schedule ops, so
-    // work on a copy: the cached compile artifact stays pristine and
-    // several noise scenarios can annotate it concurrently.
-    compiler::CompilationResult scratch = arts.compiled;
-    return noise::AnnotateRound(code, arts.graph, scratch,
+    return noise::AnnotateRound(code, arts.graph, arts.compiled,
                                 NoiseParamsFor(arch), arts.timing);
 }
 

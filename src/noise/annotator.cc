@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/check.h"
 #include "qccd/device_state.h"
 
 namespace tiqec::noise {
@@ -14,10 +15,14 @@ using qccd::OpKind;
 RoundNoiseProfile
 AnnotateRound(const qec::StabilizerCode& code,
               const qccd::DeviceGraph& graph,
-              compiler::CompilationResult& result, const NoiseParams& params,
-              const qccd::TimingModel& timing)
+              const compiler::CompilationResult& result,
+              const NoiseParams& params, const qccd::TimingModel& timing,
+              compiler::Schedule* annotated)
 {
     assert(result.ok);
+    TIQEC_CHECK(annotated == nullptr ||
+                    annotated->ops.size() == result.schedule.ops.size(),
+                "annotated schedule must have the result schedule's ops");
     RoundNoiseProfile profile;
     profile.round_time = result.schedule.makespan;
     profile.gate_noise.assign(result.qec_circuit.size(), GateNoise{});
@@ -42,7 +47,15 @@ AnnotateRound(const qec::StabilizerCode& code,
         return peak;
     };
 
-    for (auto& timed : result.schedule.ops) {
+    auto back_fill = [&](size_t i, int chain_size, double chain_nbar) {
+        if (annotated != nullptr) {
+            annotated->ops[i].chain_size = chain_size;
+            annotated->ops[i].nbar = chain_nbar;
+        }
+    };
+
+    for (size_t i = 0; i < result.schedule.ops.size(); ++i) {
+        const compiler::TimedOp& timed = result.schedule.ops[i];
         const qccd::PrimitiveOp& op = timed.op;
         busy[op.ion0.value] += timed.duration;
         if (op.ion1.valid()) {
@@ -57,8 +70,7 @@ AnnotateRound(const qec::StabilizerCode& code,
                 params.TwoQubitError(timing.ms_gate, n, nb);
             const double p = 1.0 - std::pow(1.0 - p_ms, 3.0);
             profile.swaps.push_back({op.ion0, op.ion1, p, last_qec_gate});
-            timed.chain_size = n;
-            timed.nbar = nb;
+            back_fill(i, n, nb);
             const auto err = state.TryApply(op);
             assert(!err.has_value());
             (void)err;
@@ -76,8 +88,7 @@ AnnotateRound(const qec::StabilizerCode& code,
         const NodeId trap = state.NodeOf(op.ion0);
         const int n = state.Occupancy(trap);
         const double nb = chain_nbar(trap);
-        timed.chain_size = n;
-        timed.nbar = nb;
+        back_fill(i, n, nb);
         GateId qec_gate;
         if (op.source_gate.valid()) {
             qec_gate = result.native.gate(op.source_gate).source;

@@ -59,16 +59,21 @@ struct RoundNoiseProfile
 };
 
 /**
- * Builds the noise profile for a one-round compilation result. Also
- * back-fills `chain_size` and `nbar` on the schedule's gate ops.
+ * Builds the noise profile for a one-round compilation result. Reads
+ * `result` only, so one shared result can be annotated concurrently
+ * under several noise parameter sets.
  *
  * @param result Must be a successful one-round compilation.
+ * @param annotated If non-null, a schedule with the same ops as
+ *     `result.schedule` (typically `&result.schedule` itself); the walk
+ *     back-fills `chain_size` and `nbar` on its gate ops.
  */
 RoundNoiseProfile AnnotateRound(const qec::StabilizerCode& code,
                                 const qccd::DeviceGraph& graph,
-                                compiler::CompilationResult& result,
+                                const compiler::CompilationResult& result,
                                 const NoiseParams& params,
-                                const qccd::TimingModel& timing);
+                                const qccd::TimingModel& timing,
+                                compiler::Schedule* annotated = nullptr);
 
 }  // namespace tiqec::noise
 

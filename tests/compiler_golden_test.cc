@@ -215,8 +215,9 @@ TEST(CompilerDifferentialTest, OverhauledPipelineMatchesReferenceByteForByte)
         int rounds;
     };
     // Every suite configuration: all topologies, the d=7/9 rows the
-    // overhaul unlocked, higher capacities, WISE wiring, and a
-    // multi-round block.
+    // overhaul unlocked, higher capacities, WISE wiring (linear WISE has
+    // the most same-pass transport intervals per conflict search), and
+    // multi-round blocks.
     const Config configs[] = {
         {2, qccd::TopologyKind::kLinear, 2, false, 1},
         {3, qccd::TopologyKind::kLinear, 3, false, 1},
@@ -232,6 +233,8 @@ TEST(CompilerDifferentialTest, OverhauledPipelineMatchesReferenceByteForByte)
         {9, qccd::TopologyKind::kGrid, 2, false, 1},
         {9, qccd::TopologyKind::kSwitch, 5, false, 1},
         {9, qccd::TopologyKind::kGrid, 2, false, 2},
+        {9, qccd::TopologyKind::kLinear, 2, true, 1},
+        {7, qccd::TopologyKind::kLinear, 3, true, 2},
     };
     for (const Config& c : configs) {
         SCOPED_TRACE("d=" + std::to_string(c.distance) + " topology=" +

@@ -4,10 +4,13 @@
  * LER projection fits (Figure 10 methodology).
  */
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.h"
+#include "compiler/schedule_io.h"
+#include "core/pipeline.h"
 #include "core/projection.h"
 #include "core/toolflow.h"
 #include "noise/annotator.h"
@@ -122,6 +125,66 @@ TEST(ToolflowTest, NoiseParamsForWiring)
     EXPECT_TRUE(NoiseParamsFor(arch).cooled);
     arch.gate_improvement = 5.0;
     EXPECT_DOUBLE_EQ(NoiseParamsFor(arch).gate_improvement, 5.0);
+}
+
+void
+ExpectSameProfile(const noise::RoundNoiseProfile& a,
+                  const noise::RoundNoiseProfile& b)
+{
+    EXPECT_EQ(a.round_time, b.round_time);
+    ASSERT_EQ(a.gate_noise.size(), b.gate_noise.size());
+    for (size_t i = 0; i < a.gate_noise.size(); ++i) {
+        EXPECT_EQ(a.gate_noise[i].p_pair, b.gate_noise[i].p_pair) << i;
+        EXPECT_EQ(a.gate_noise[i].p_q0, b.gate_noise[i].p_q0) << i;
+        EXPECT_EQ(a.gate_noise[i].p_q1, b.gate_noise[i].p_q1) << i;
+    }
+    EXPECT_EQ(a.idle_z, b.idle_z);
+    ASSERT_EQ(a.swaps.size(), b.swaps.size());
+    for (size_t i = 0; i < a.swaps.size(); ++i) {
+        EXPECT_EQ(a.swaps[i].a, b.swaps[i].a) << i;
+        EXPECT_EQ(a.swaps[i].b, b.swaps[i].b) << i;
+        EXPECT_EQ(a.swaps[i].p, b.swaps[i].p) << i;
+        EXPECT_EQ(a.swaps[i].after_qec_gate, b.swaps[i].after_qec_gate)
+            << i;
+    }
+    EXPECT_EQ(a.mean_two_qubit_error, b.mean_two_qubit_error);
+    EXPECT_EQ(a.max_two_qubit_error, b.max_two_qubit_error);
+}
+
+TEST(ToolflowTest, SharedArtifactAnnotatesConcurrently)
+{
+    // One cached compile artifact serves every noise scenario of a
+    // candidate, and the sweep annotates those scenarios on concurrent
+    // workers: the annotate stage must only read the artifact.
+    const qec::RotatedSurfaceCode code(3);
+    ArchitectureConfig one_x;
+    one_x.topology = qccd::TopologyKind::kLinear;
+    one_x.trap_capacity = 3;
+    ArchitectureConfig ten_x = one_x;
+    ten_x.gate_improvement = 10.0;
+    const CompileArtifacts arts = CompileCandidate(code, one_x);
+    ASSERT_TRUE(arts.ok) << arts.error;
+    const std::string schedule_csv = compiler::ScheduleCsv(
+        arts.compiled.schedule);
+
+    const auto serial_one = AnnotateCandidate(code, one_x, arts);
+    const auto serial_ten = AnnotateCandidate(code, ten_x, arts);
+    ASSERT_FALSE(serial_one.swaps.empty());
+    ASSERT_NE(serial_one.max_two_qubit_error,
+              serial_ten.max_two_qubit_error);
+
+    noise::RoundNoiseProfile threaded_one;
+    noise::RoundNoiseProfile threaded_ten;
+    std::thread first(
+        [&] { threaded_one = AnnotateCandidate(code, one_x, arts); });
+    std::thread second(
+        [&] { threaded_ten = AnnotateCandidate(code, ten_x, arts); });
+    first.join();
+    second.join();
+
+    ExpectSameProfile(threaded_one, serial_one);
+    ExpectSameProfile(threaded_ten, serial_ten);
+    EXPECT_EQ(compiler::ScheduleCsv(arts.compiled.schedule), schedule_csv);
 }
 
 TEST(ToolflowTest, ArchitectureName)

@@ -148,7 +148,8 @@ TEST_F(AnnotatorTest, MovementHeatsGates)
     const qec::RotatedSurfaceCode code(3);
     Compile(code, TopologyKind::kGrid, 2);
     NoiseParams params;
-    AnnotateRound(code, *graph_, result_, params, timing_);
+    AnnotateRound(code, *graph_, result_, params, timing_,
+                  &result_.schedule);
     int ms_ops = 0;
     for (const auto& t : result_.schedule.ops) {
         if (t.op.kind == qccd::OpKind::kMs) {
@@ -167,8 +168,8 @@ TEST_F(AnnotatorTest, SingleChainHasNoHeating)
     result_ = compiler::CompileParityCheckRounds(code, 1, *graph_, timing_);
     ASSERT_TRUE(result_.ok) << result_.error;
     NoiseParams params;
-    const RoundNoiseProfile profile =
-        AnnotateRound(code, *graph_, result_, params, timing_);
+    const RoundNoiseProfile profile = AnnotateRound(
+        code, *graph_, result_, params, timing_, &result_.schedule);
     EXPECT_TRUE(profile.swaps.empty());
     for (const auto& t : result_.schedule.ops) {
         if (t.op.kind == qccd::OpKind::kMs) {

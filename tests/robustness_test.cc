@@ -12,12 +12,14 @@
 
 #include "common/rng.h"
 #include "compiler/compiler.h"
+#include "core/request.h"
 #include "core/toolflow.h"
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
 #include "sim/memory_experiment.h"
+#include "store/service.h"
 
 namespace tiqec {
 namespace {
@@ -197,6 +199,48 @@ TEST(FailureInjectionTest, CapacityBelowTwoRejectedBySynthesis)
                                              capacity),
                      std::invalid_argument)
             << capacity;
+    }
+}
+
+/** Non-physical parameters and negative budgets are request errors with
+ *  pinned texts naming the key, and the error line keeps the label. */
+TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
+{
+    const std::pair<std::string, std::string> cases[] = {
+        {"improvement=0", "improvement must be finite and > 0, got '0'"},
+        {"improvement=-1", "improvement must be finite and > 0, got '-1'"},
+        {"improvement=nan",
+         "improvement must be finite and > 0, got 'nan'"},
+        {"improvement=inf",
+         "improvement must be finite and > 0, got 'inf'"},
+        {"shots=-5", "shots must be >= 0, got '-5'"},
+        {"target_errors=-1", "target_errors must be >= 0, got '-1'"},
+    };
+    for (const auto& [token, text] : cases) {
+        SCOPED_TRACE(token);
+        const std::string line =
+            "family=rotated distance=3 " + token + " label=bad";
+        core::SweepCandidate candidate;
+        std::string error;
+        EXPECT_FALSE(core::ParseRequestCandidate(line, &candidate, &error));
+        EXPECT_EQ(error, text);
+
+        const store::SweepServiceResult result =
+            store::RunSweepService(line + "\n", store::SweepServiceOptions{});
+        ASSERT_EQ(result.result_lines.size(), 1u);
+        EXPECT_EQ(result.result_lines[0],
+                  "{\"label\":\"bad\",\"request\":\"" + line +
+                      "\",\"ok\":false,\"error\":\"request parse: " +
+                      text + "\"}");
+    }
+    // The boundaries stay valid: zero budgets, any positive factor.
+    for (const std::string token :
+         {"shots=0", "target_errors=0", "improvement=0.5"}) {
+        core::SweepCandidate candidate;
+        std::string error;
+        EXPECT_TRUE(core::ParseRequestCandidate(
+            "family=rotated distance=3 " + token, &candidate, &error))
+            << token << ": " << error;
     }
 }
 

@@ -144,7 +144,7 @@ TEST(ScheduleIoRoundTripTest, AnnotatedSchedulesRoundTripToo)
     auto result = CompileParityCheckRounds(code, 1, graph, timing);
     ASSERT_TRUE(result.ok);
     noise::AnnotateRound(code, graph, result, noise::NoiseParams{},
-                         timing);
+                         timing, &result.schedule);
     const std::string csv = ScheduleCsv(result.schedule);
     const Schedule parsed = ParseScheduleCsv(csv);
     bool saw_nontrivial_nbar = false;
