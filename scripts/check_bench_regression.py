@@ -12,6 +12,9 @@ compares *within-host ratios*, which are portable:
   decode:  path_ratio = shots_per_sec[path] / shots_per_sec[legacy]
            per (workload, distance, gate_improvement) config, for the
            scalar / batch / batch_correlated paths
+  dem:     speedup = oracle_ms / prod_ms per (distance, topology,
+           rounds) row (the backward DEM builder against its forward
+           bit-lane oracle, same process)
 
 Gating is two-level, because a single config's best-of-N ratio still
 carries several percent of run-to-run noise on a shared box:
@@ -36,8 +39,13 @@ Two absolute within-host floors ride along:
     be at least as fast as the reference (WISE_FLOOR; the WISE conflict
     search once made it ~2.6x slower at d=9).
 
+One within-host ceiling gates scaling: the production DEM build of
+memory d=3 grid at 800 rounds may take at most DEM_ROUNDS_CEILING times
+its 100-round build (the committed snapshot reads 8.8; the forward
+builder reads ~24). A fresh DEM run without both rows fails.
+
 Correctness flags are hard failures regardless of threshold: a fresh
-compile record with identical=false or a decode record with
+compile or DEM record with identical=false or a decode record with
 errors_agree=false means the measured configuration is broken, not slow.
 
 Usage:
@@ -60,6 +68,10 @@ CORRELATED_FLOOR_CONFIG = ("memory_z", 5, 1)
 # fast/reference compile speedup floor on WISE rows from this distance up.
 WISE_FLOOR = 1.0
 WISE_FLOOR_MIN_DISTANCE = 7
+# Production DEM build time ratio ceiling, rounds 800 over rounds 100,
+# and the (distance, topology) rows it applies to.
+DEM_ROUNDS_CEILING = 12.0
+DEM_ROUNDS_CONFIG = (3, "grid")
 
 
 def load_results(path):
@@ -269,6 +281,54 @@ def check_correlated_floor(fresh_cfg, failures):
             f"{CORRELATED_FLOOR:.1%})")
 
 
+def check_dem(baseline_dir, fresh_dir, threshold, failures):
+    base = load_results(os.path.join(baseline_dir, "BENCH_dem.json"))
+    fresh = load_results(os.path.join(fresh_dir, "BENCH_dem.json"))
+
+    def key(r):
+        return (r["distance"], r["topology"], r["rounds"])
+
+    base_by_key = {key(r): r for r in base}
+    print("dem_build (oracle/production speedup):")
+    gate = RatioGate("dem_speedup", threshold)
+    for r in fresh:
+        if not r.get("identical", False):
+            failures.append(
+                f"dem {key(r)}: production DEM is not byte-identical to "
+                f"the forward oracle's")
+            continue
+        b = base_by_key.get(key(r))
+        if b is None:
+            continue  # axis mismatch, not a failure
+        gate.add("d={} {} rounds={}".format(*key(r)), b.get("speedup"),
+                 r.get("speedup"))
+    gate.verdict(failures)
+    check_dem_rounds_ceiling(fresh, failures)
+
+
+def check_dem_rounds_ceiling(fresh, failures):
+    """Fails when the fresh production DEM build at 800 rounds takes more
+    than DEM_ROUNDS_CEILING x its 100-round build."""
+    prod_ms = {r["rounds"]: r.get("prod_ms") for r in fresh
+               if (r["distance"], r["topology"]) == DEM_ROUNDS_CONFIG}
+    name = "d={} {}".format(*DEM_ROUNDS_CONFIG)
+    r100, r800 = prod_ms.get(100), prod_ms.get(800)
+    if not positive_finite(r100) or not positive_finite(r800):
+        failures.append(
+            f"dem rounds ceiling {name}: rounds=100 or rounds=800 record "
+            f"missing or non-positive (100: {r100!r}, 800: {r800!r})")
+        return
+    ratio = r800 / r100
+    flag = "" if ratio <= DEM_ROUNDS_CEILING else "  <-- HIGH"
+    print(f"  dem rounds ceiling {name}: prod_ms(800)/prod_ms(100) = "
+          f"{ratio:.2f} (ceiling {DEM_ROUNDS_CEILING:.0f}){flag}")
+    if ratio > DEM_ROUNDS_CEILING:
+        failures.append(
+            f"dem rounds ceiling {name}: rounds-800 build takes "
+            f"{ratio:.2f}x the rounds-100 build (ceiling "
+            f"{DEM_ROUNDS_CEILING:.0f})")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -289,6 +349,7 @@ def main():
     if not args.skip_decode:
         check_decode(args.baseline_dir, args.fresh_dir, args.threshold,
                      failures)
+    check_dem(args.baseline_dir, args.fresh_dir, args.threshold, failures)
 
     if failures:
         print("\nFAIL: bench regression gate", file=sys.stderr)

@@ -126,7 +126,13 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
                 }
                 spec.arch.gate_improvement = improvement;
             } else if (key == "rounds") {
+                // Omitting the key selects the code distance; an
+                // explicit count must be positive.
                 spec.options.rounds = text::ParseInt32(value, "rounds");
+                if (spec.options.rounds < 1) {
+                    throw std::invalid_argument(
+                        "rounds must be >= 1, got '" + value + "'");
+                }
             } else if (key == "compile_rounds") {
                 spec.compile_rounds =
                     text::ParseInt32(value, "compile_rounds");

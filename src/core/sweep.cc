@@ -164,6 +164,12 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             invalid[i] = "compile_rounds must be >= 1";
             continue;
         }
+        if (c.options.rounds != -1 && c.options.rounds < 1) {
+            invalid[i] = "rounds must be -1 (the code distance) or >= 1, "
+                         "got " +
+                         std::to_string(c.options.rounds);
+            continue;
+        }
         if (c.compile_rounds != 1 && !c.options.compile_only) {
             invalid[i] = "multi-round compilation is compile-only (the "
                          "noise annotator requires a one-round schedule)";

@@ -47,7 +47,8 @@ bool DefaultValidateArtifacts();
 
 struct EvaluationOptions
 {
-    /** Parity-check rounds per memory shot; -1 means the code distance. */
+    /** Parity-check rounds per memory shot; -1 means the code distance.
+     *  Any other value below 1 fails the candidate. */
     int rounds = -1;
     /** Monte-Carlo budget. Sampling stops at whichever comes first. */
     std::int64_t max_shots = 1 << 20;

@@ -1,84 +1,308 @@
 #include "sim/dem.h"
 
 #include <algorithm>
-#include <cassert>
-#include <functional>
-#include <map>
+#include <compare>
+#include <numeric>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 namespace tiqec::sim {
 
 namespace {
 
-/** A single Pauli error component: what it flips and where it occurs. */
-struct Component
+/** Sorted ids of what one error flips: detector d as d, observable o as
+ *  num_detectors + o, so a set's detector ids form its prefix. */
+using SensitivitySet = std::vector<int>;
+
+/** `out` = a XOR b (symmetric difference of sorted sets). */
+void
+XorSets(const SensitivitySet& a, const SensitivitySet& b, SensitivitySet& out)
 {
-    int instruction = 0;  ///< index of the owning channel instruction
-    bool flip_x0 = false, flip_z0 = false;  ///< action on q0
-    bool flip_x1 = false, flip_z1 = false;  ///< action on q1
-    bool flip_record = false;               ///< measurement-record flip
+    out.clear();
+    size_t i = 0;
+    size_t j = 0;
+    while (i < a.size() && j < b.size()) {
+        if (a[i] < b[j]) {
+            out.push_back(a[i++]);
+        } else if (b[j] < a[i]) {
+            out.push_back(b[j++]);
+        } else {
+            ++i;
+            ++j;
+        }
+    }
+    out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i),
+               a.end());
+    out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(j),
+               b.end());
+}
+
+/** a ^= b through `scratch`, whose capacity circulates between sets. */
+void
+XorAssign(SensitivitySet& a, const SensitivitySet& b,
+          SensitivitySet& scratch)
+{
+    if (!b.empty()) {
+        XorSets(a, b, scratch);
+        a.swap(scratch);
+    }
+}
+
+/** Flips the membership of `id` in sorted `s`. */
+void
+Toggle(SensitivitySet& s, int id)
+{
+    const auto it = std::lower_bound(s.begin(), s.end(), id);
+    if (it != s.end() && *it == id) {
+        s.erase(it);
+    } else {
+        s.insert(it, id);
+    }
+}
+
+/** The error components one instruction injects; they share `p`. */
+struct Channel
+{
+    int components = 0;
     double p = 0.0;
 };
 
-/** Enumerates all components of all channels in instruction order. */
-std::vector<Component>
-EnumerateComponents(const NoisyCircuit& circuit)
+Channel
+ChannelOf(const SimInstruction& inst)
 {
-    std::vector<Component> comps;
-    const auto& instructions = circuit.instructions();
-    for (size_t i = 0; i < instructions.size(); ++i) {
-        const SimInstruction& inst = instructions[i];
-        auto add = [&](Component c) {
-            c.instruction = static_cast<int>(i);
-            comps.push_back(c);
-        };
-        switch (inst.op) {
-          case SimOp::kXError:
-            add({.flip_x0 = true, .p = inst.p});
-            break;
-          case SimOp::kZError:
-            add({.flip_z0 = true, .p = inst.p});
-            break;
-          case SimOp::kDepolarize1:
-            add({.flip_x0 = true, .p = inst.p / 3.0});
-            add({.flip_z0 = true, .p = inst.p / 3.0});
-            add({.flip_x0 = true, .flip_z0 = true, .p = inst.p / 3.0});
-            break;
-          case SimOp::kDepolarize2:
-            for (int which = 1; which < 16; ++which) {
-                add({.flip_x0 = (which & 1) != 0,
-                     .flip_z0 = (which & 2) != 0,
-                     .flip_x1 = (which & 4) != 0,
-                     .flip_z1 = (which & 8) != 0,
-                     .p = inst.p / 15.0});
-            }
-            break;
-          case SimOp::kMeasure:
-            if (inst.p > 0.0) {
-                add({.flip_record = true, .p = inst.p});
-            }
-            break;
-          case SimOp::kReset:
-            if (inst.p > 0.0) {
-                add({.flip_x0 = true, .p = inst.p});
-            }
-            break;
-          default:
-            break;
-        }
+    switch (inst.op) {
+      case SimOp::kXError:
+      case SimOp::kZError:
+        return {1, inst.p};
+      case SimOp::kDepolarize1:
+        return {3, inst.p / 3.0};
+      case SimOp::kDepolarize2:
+        return {15, inst.p / 15.0};
+      case SimOp::kMeasure:
+      case SimOp::kReset:
+        return {inst.p > 0.0 ? 1 : 0, inst.p};
+      default:
+        return {};
     }
-    return comps;
 }
 
-using Plane = std::vector<std::uint64_t>;
-
-void
-SetBit(Plane& plane, int lane)
+/** Interns distinct non-empty signatures as dense group ids (open
+ *  addressing over a flat arena). */
+class SignatureTable
 {
-    plane[lane >> 6] |= 1ULL << (lane & 63);
-}
+  public:
+    int size() const { return static_cast<int>(hash_.size()); }
+    const int* begin(int g) const { return arena_.data() + start_[g]; }
+    const int* end(int g) const { return arena_.data() + start_[g + 1]; }
+
+    /** Group id of sorted, non-empty `ids`; a new one when unseen. */
+    int Intern(const SensitivitySet& ids)
+    {
+        std::uint64_t h = ids.size();
+        for (const int id : ids) {
+            h = (h ^ static_cast<std::uint32_t>(id)) * 0xff51afd7ed558ccdULL;
+            h ^= h >> 29;
+        }
+        const size_t mask = slots_.size() - 1;
+        size_t s = h & mask;
+        for (; slots_[s] >= 0; s = (s + 1) & mask) {
+            const int g = slots_[s];
+            if (hash_[g] == h &&
+                std::equal(begin(g), end(g), ids.begin(), ids.end())) {
+                return g;
+            }
+        }
+        const int g = size();
+        slots_[s] = g;
+        hash_.push_back(h);
+        arena_.insert(arena_.end(), ids.begin(), ids.end());
+        start_.push_back(arena_.size());
+        if (hash_.size() * 2 > slots_.size()) {
+            slots_.assign(slots_.size() * 2, -1);
+            const size_t grown = slots_.size() - 1;
+            for (int k = 0; k < size(); ++k) {
+                size_t t = hash_[k] & grown;
+                while (slots_[t] >= 0) {
+                    t = (t + 1) & grown;
+                }
+                slots_[t] = k;
+            }
+        }
+        return g;
+    }
+
+  private:
+    std::vector<int> arena_;
+    std::vector<size_t> start_{0};
+    std::vector<std::uint64_t> hash_;
+    std::vector<int> slots_ = std::vector<int>(1024, -1);
+};
+
+/**
+ * Backtracking perfect-matching search of one composite signature over
+ * the elementary edges, where any detector may take a boundary edge
+ * instead of a partner. Canonical visit order (deterministic): the
+ * smallest unmatched detector pairs with partners in ascending order
+ * before its boundary option; a pair's edge variants in ascending index,
+ * which is ascending obs order. Each signature position carries a `used`
+ * flag, so the search allocates nothing once its buffers are warm.
+ */
+class Decomposer
+{
+  public:
+    static constexpr int kMaxVariants = 8;
+    static constexpr int kSearchBudget = 4096;
+
+    /** `edges` are in (d0, d1) order with boundary edges first in each
+     *  d0 row; `row_start[d]` is the first edge whose d0 is `d`. */
+    Decomposer(const std::vector<DemEdge>& edges,
+               const std::vector<int>& row_start)
+        : edges_(edges), row_start_(row_start)
+    {
+    }
+
+    /** Searches for a matching whose observable XOR equals `obs`; when
+     *  one exists, `chosen()` lists its edges in visit order. */
+    bool Exact(const int* dets, int n, std::uint32_t obs)
+    {
+        Start(dets, n, obs);
+        return ExactFrom(0, n, 0);
+    }
+    const std::vector<int>& chosen() const { return chosen_; }
+
+    /** Collects up to kMaxVariants distinct structural matchings over
+     *  each pair's first variant, each as a sorted edge list. */
+    std::vector<std::vector<int>> Enumerate(const int* dets, int n)
+    {
+        Start(dets, n, 0);
+        variants_.clear();
+        EnumerateFrom(0, n);
+        return std::move(variants_);
+    }
+
+  private:
+    void Start(const int* dets, int n, std::uint32_t obs)
+    {
+        dets_ = dets;
+        obs_ = obs;
+        budget_ = kSearchBudget;
+        used_.assign(static_cast<size_t>(n), 0);
+        chosen_.clear();
+    }
+
+    /** Edge index range of the (a, b) variants; b > a or the boundary. */
+    std::pair<int, int> Variants(int a, int b) const
+    {
+        int lo = row_start_[a];
+        const int end = row_start_[a + 1];
+        while (lo < end && edges_[lo].d1 < b) {
+            ++lo;
+        }
+        int hi = lo;
+        while (hi < end && edges_[hi].d1 == b) {
+            ++hi;
+        }
+        return {lo, hi};
+    }
+
+    int FirstFree(int from) const
+    {
+        while (used_[from]) {
+            ++from;
+        }
+        return from;
+    }
+
+    bool ExactFrom(int from, int remaining, std::uint32_t acc)
+    {
+        if (remaining == 0) {
+            return acc == obs_;
+        }
+        if (--budget_ < 0) {
+            return false;
+        }
+        const int x = FirstFree(from);
+        const int n = static_cast<int>(used_.size());
+        used_[x] = 1;
+        for (int j = x + 1; j < n; ++j) {
+            if (used_[j]) {
+                continue;
+            }
+            const auto [lo, hi] = Variants(dets_[x], dets_[j]);
+            used_[j] = 1;
+            for (int e = lo; e < hi; ++e) {
+                chosen_.push_back(e);
+                if (ExactFrom(x + 1, remaining - 2,
+                              acc ^ edges_[e].obs_mask)) {
+                    return true;
+                }
+                chosen_.pop_back();
+            }
+            used_[j] = 0;
+        }
+        const auto [lo, hi] = Variants(dets_[x], DemEdge::kBoundary);
+        for (int e = lo; e < hi; ++e) {
+            chosen_.push_back(e);
+            if (ExactFrom(x + 1, remaining - 1, acc ^ edges_[e].obs_mask)) {
+                return true;
+            }
+            chosen_.pop_back();
+        }
+        used_[x] = 0;
+        return false;
+    }
+
+    void EnumerateFrom(int from, int remaining)
+    {
+        if (static_cast<int>(variants_.size()) >= kMaxVariants ||
+            --budget_ < 0) {
+            return;
+        }
+        if (remaining == 0) {
+            sorted_ = chosen_;
+            std::sort(sorted_.begin(), sorted_.end());
+            if (std::find(variants_.begin(), variants_.end(), sorted_) ==
+                variants_.end()) {
+                variants_.push_back(sorted_);
+            }
+            return;
+        }
+        const int x = FirstFree(from);
+        const int n = static_cast<int>(used_.size());
+        used_[x] = 1;
+        for (int j = x + 1; j < n; ++j) {
+            if (used_[j]) {
+                continue;
+            }
+            const auto [lo, hi] = Variants(dets_[x], dets_[j]);
+            if (lo == hi) {
+                continue;
+            }
+            used_[j] = 1;
+            chosen_.push_back(lo);
+            EnumerateFrom(x + 1, remaining - 2);
+            chosen_.pop_back();
+            used_[j] = 0;
+        }
+        const auto [lo, hi] = Variants(dets_[x], DemEdge::kBoundary);
+        if (lo != hi) {
+            chosen_.push_back(lo);
+            EnumerateFrom(x + 1, remaining - 1);
+            chosen_.pop_back();
+        }
+        used_[x] = 0;
+    }
+
+    const std::vector<DemEdge>& edges_;
+    const std::vector<int>& row_start_;
+    const int* dets_ = nullptr;
+    std::uint32_t obs_ = 0;
+    int budget_ = 0;
+    std::vector<char> used_;
+    std::vector<int> chosen_;
+    std::vector<int> sorted_;
+    std::vector<std::vector<int>> variants_;
+};
 
 }  // namespace
 
@@ -99,8 +323,7 @@ DetectorErrorModel::Stats() const
 }
 
 DetectorErrorModel
-BuildDem(const NoisyCircuit& circuit,
-         std::vector<MechanismExample>* examples)
+BuildDem(const NoisyCircuit& circuit)
 {
     DetectorErrorModel dem;
     dem.num_detectors = circuit.num_detectors();
@@ -109,313 +332,211 @@ BuildDem(const NoisyCircuit& circuit,
         dem.detector_basis.push_back(d.basis);
     }
 
-    const std::vector<Component> comps = EnumerateComponents(circuit);
-    dem.num_components = static_cast<int>(comps.size());
-    const int lanes = static_cast<int>(comps.size());
+    const auto& instructions = circuit.instructions();
+    int lanes = 0;
+    for (const SimInstruction& inst : instructions) {
+        lanes += ChannelOf(inst).components;
+    }
+    dem.num_components = lanes;
     if (lanes == 0) {
         return dem;
     }
-    const int words = (lanes + 63) / 64;
-    const int nq = circuit.num_qubits();
-    std::vector<Plane> x(nq, Plane(words, 0));
-    std::vector<Plane> z(nq, Plane(words, 0));
-    std::vector<Plane> records(circuit.num_measurements(), Plane(words, 0));
-    std::vector<Plane> det(circuit.num_detectors(), Plane(words, 0));
-    std::vector<Plane> obs(std::max(1, circuit.num_observables()),
-                           Plane(words, 0));
+    const int num_dets = circuit.num_detectors();
 
-    // Group components by owning instruction for injection.
-    std::vector<std::vector<int>> by_instruction(
-        circuit.instructions().size());
-    for (int c = 0; c < lanes; ++c) {
-        by_instruction[comps[c].instruction].push_back(c);
-    }
-
-    int next_record = 0;
-    const auto& instructions = circuit.instructions();
-    for (size_t i = 0; i < instructions.size(); ++i) {
+    // Backward walk. x[q] / z[q] hold what an X / Z error on q right
+    // after the current instruction flips, and records[m] what a flip of
+    // measurement record m flips. An instruction's components are
+    // injected after its own action, so their signatures are read before
+    // the sets are pulled back through it. `record` is the number of
+    // measurements before the current instruction: records at or past
+    // it are not yet taken at this point, so a detector reading one
+    // reads nothing.
+    std::vector<SensitivitySet> x(circuit.num_qubits());
+    std::vector<SensitivitySet> z(circuit.num_qubits());
+    std::vector<SensitivitySet> records(circuit.num_measurements());
+    int record = circuit.num_measurements();
+    SignatureTable table;
+    std::vector<int> group_of(lanes);
+    const SensitivitySet none;
+    SensitivitySet scratch, sig, y0, y1;
+    int lane = lanes;
+    for (size_t i = instructions.size(); i-- > 0;) {
         const SimInstruction& inst = instructions[i];
-        // Clifford / record semantics first (so a measure's record flip
-        // component applies to its own record, and a reset clears errors
-        // injected before it).
+        lane -= ChannelOf(inst).components;
+        auto emit = [&](int k, const SensitivitySet& s) {
+            group_of[lane + k] = s.empty() ? -1 : table.Intern(s);
+        };
         switch (inst.op) {
           case SimOp::kH:
             x[inst.q0].swap(z[inst.q0]);
             break;
           case SimOp::kCnot:
-            for (int w = 0; w < words; ++w) {
-                x[inst.q1][w] ^= x[inst.q0][w];
-                z[inst.q0][w] ^= z[inst.q1][w];
-            }
+            XorAssign(x[inst.q0], x[inst.q1], scratch);
+            XorAssign(z[inst.q1], z[inst.q0], scratch);
             break;
           case SimOp::kSwap:
             x[inst.q0].swap(x[inst.q1]);
             z[inst.q0].swap(z[inst.q1]);
             break;
           case SimOp::kMeasure:
-            records[next_record] = x[inst.q0];
+            --record;
+            if (inst.p > 0.0) {
+                emit(0, records[record]);
+            }
+            XorAssign(x[inst.q0], records[record], scratch);
+            SensitivitySet().swap(records[record]);
             break;
           case SimOp::kReset:
-            std::fill(x[inst.q0].begin(), x[inst.q0].end(), 0);
-            std::fill(z[inst.q0].begin(), z[inst.q0].end(), 0);
+            if (inst.p > 0.0) {
+                emit(0, x[inst.q0]);
+            }
+            x[inst.q0].clear();
+            z[inst.q0].clear();
             break;
+          case SimOp::kXError:
+            emit(0, x[inst.q0]);
+            break;
+          case SimOp::kZError:
+            emit(0, z[inst.q0]);
+            break;
+          case SimOp::kDepolarize1:
+            XorSets(x[inst.q0], z[inst.q0], y0);
+            emit(0, x[inst.q0]);
+            emit(1, z[inst.q0]);
+            emit(2, y0);
+            break;
+          case SimOp::kDepolarize2: {
+            // Component `which` flips X0, Z0, X1, Z1 by bits 1, 2, 4, 8.
+            XorSets(x[inst.q0], z[inst.q0], y0);
+            XorSets(x[inst.q1], z[inst.q1], y1);
+            const SensitivitySet* on0[4] = {&none, &x[inst.q0], &z[inst.q0],
+                                            &y0};
+            const SensitivitySet* on1[4] = {&none, &x[inst.q1], &z[inst.q1],
+                                            &y1};
+            for (int which = 1; which < 16; ++which) {
+                const SensitivitySet& a = *on0[which & 3];
+                const SensitivitySet& b = *on1[which >> 2];
+                if (a.empty() || b.empty()) {
+                    emit(which - 1, a.empty() ? b : a);
+                } else {
+                    XorSets(a, b, sig);
+                    emit(which - 1, sig);
+                }
+            }
+            break;
+          }
           case SimOp::kDetector:
+          case SimOp::kObservableInclude: {
+            const int id = inst.op == SimOp::kDetector
+                               ? inst.index
+                               : num_dets + inst.index;
             for (const auto m : inst.targets) {
-                for (int w = 0; w < words; ++w) {
-                    det[inst.index][w] ^= records[m][w];
+                if (m < record) {
+                    Toggle(records[m], id);
                 }
             }
             break;
-          case SimOp::kObservableInclude:
-            for (const auto m : inst.targets) {
-                for (int w = 0; w < words; ++w) {
-                    obs[inst.index][w] ^= records[m][w];
-                }
-            }
-            break;
-          default:
-            break;
-        }
-        // Inject this instruction's error components into their lanes.
-        for (const int c : by_instruction[i]) {
-            const Component& comp = comps[c];
-            if (comp.flip_x0) SetBit(x[inst.q0], c);
-            if (comp.flip_z0) SetBit(z[inst.q0], c);
-            if (comp.flip_x1) SetBit(x[inst.q1], c);
-            if (comp.flip_z1) SetBit(z[inst.q1], c);
-            if (comp.flip_record) SetBit(records[next_record], c);
-        }
-        if (inst.op == SimOp::kMeasure) {
-            ++next_record;
+          }
         }
     }
 
-    // Collect per-lane flipped detectors / observables.
-    std::vector<std::vector<int>> lane_dets(lanes);
-    std::vector<std::uint32_t> lane_obs(lanes, 0);
-    for (int d = 0; d < circuit.num_detectors(); ++d) {
-        for (int w = 0; w < words; ++w) {
-            std::uint64_t bits = det[d][w];
-            while (bits) {
-                const int lane = w * 64 + __builtin_ctzll(bits);
-                bits &= bits - 1;
-                if (lane < lanes) {
-                    lane_dets[lane].push_back(d);
-                }
+    // Fold each group's probability in ascending component order, as the
+    // forward builder did: the XOR fold is not associative in floating
+    // point, so the order is part of the output.
+    std::vector<double> group_p(static_cast<size_t>(table.size()), 0.0);
+    lane = 0;
+    for (const SimInstruction& inst : instructions) {
+        const Channel ch = ChannelOf(inst);
+        for (int k = 0; k < ch.components; ++k) {
+            const int g = group_of[lane++];
+            if (g >= 0) {
+                double& p = group_p[g];
+                p = p * (1.0 - ch.p) + ch.p * (1.0 - p);
             }
         }
     }
-    for (int o = 0; o < circuit.num_observables(); ++o) {
-        for (int w = 0; w < words; ++w) {
-            std::uint64_t bits = obs[o][w];
-            while (bits) {
-                const int lane = w * 64 + __builtin_ctzll(bits);
-                bits &= bits - 1;
-                if (lane < lanes) {
-                    lane_obs[lane] |= 1u << o;
-                }
-            }
-        }
-    }
+    std::vector<int>().swap(group_of);
 
-    // Merge identical components; key = (sorted detectors, obs mask).
-    struct Key
-    {
-        std::vector<int> dets;
-        std::uint32_t obs;
-        bool operator<(const Key& o) const
-        {
-            if (dets != o.dets) {
-                return dets < o.dets;
-            }
-            return obs < o.obs;
+    // Emit groups in (sorted detectors, obs mask) order.
+    const int num_groups = table.size();
+    std::vector<int> det_len(num_groups);
+    std::vector<std::uint32_t> obs_of(num_groups, 0);
+    for (int g = 0; g < num_groups; ++g) {
+        const int* it = table.begin(g);
+        while (it != table.end(g) && *it < num_dets) {
+            ++it;
         }
-    };
-    std::map<Key, double> merged;
-    for (int c = 0; c < lanes; ++c) {
-        if (lane_dets[c].empty() && lane_obs[c] == 0) {
-            continue;  // invisible component (e.g. Z before a reset)
-        }
-        Key key{lane_dets[c], lane_obs[c]};
-        const bool fresh = merged.find(key) == merged.end();
-        double& p = merged[key];
-        p = p * (1.0 - comps[c].p) + comps[c].p * (1.0 - p);
-        if (fresh && examples != nullptr) {
-            examples->push_back({lane_dets[c], lane_obs[c],
-                                 comps[c].instruction, c});
+        det_len[g] = static_cast<int>(it - table.begin(g));
+        for (; it != table.end(g); ++it) {
+            obs_of[g] |= 1u << (*it - num_dets);
         }
     }
+    std::vector<int> order(num_groups);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const auto cmp = std::lexicographical_compare_three_way(
+            table.begin(a), table.begin(a) + det_len[a], table.begin(b),
+            table.begin(b) + det_len[b]);
+        return cmp != 0 ? cmp < 0 : obs_of[a] < obs_of[b];
+    });
 
     // First pass: elementary (<= 2 detector) mechanisms become edges
-    // directly. Edges are keyed by (d0, d1, obs): mechanisms with the
-    // same endpoints but different logical action stay distinct here and
-    // are coalesced at the end. pair_variants indexes every variant of a
-    // (d0, d1) pair, so the decomposition search below is linear in the
-    // variants of a pair, never in 2^num_observables.
-    std::map<std::tuple<int, int, std::uint32_t>, size_t> edge_index;
-    std::map<std::pair<int, int>, std::vector<size_t>> pair_variants;
-    auto canon = [](int d0, int d1) {
-        if (d1 != DemEdge::kBoundary && d0 > d1) {
-            std::swap(d0, d1);
-        }
-        return std::make_pair(d0, d1);
-    };
-    auto add_edge = [&](int d0, int d1, double p, std::uint32_t obs_mask) {
-        const auto [a, b] = canon(d0, d1);
-        const auto key = std::make_tuple(a, b, obs_mask);
-        const auto it = edge_index.find(key);
-        if (it != edge_index.end()) {
-            double& q = dem.edges[it->second].p;
-            q = q * (1.0 - p) + p * (1.0 - q);
-            return;
-        }
-        edge_index[key] = dem.edges.size();
-        pair_variants[std::make_pair(a, b)].push_back(dem.edges.size());
-        dem.edges.push_back({a, b, p, obs_mask});
-    };
-    std::vector<std::pair<Key, double>> composite;
-    for (const auto& [key, p] : merged) {
-        if (key.dets.empty()) {
+    // directly. Groups are distinct, so no two edges share (d0, d1, obs),
+    // and the sorted order leaves the edges sorted by (d0, d1) with each
+    // row's boundary edges first and a pair's variants in ascending obs
+    // order: the row index below serves every pair lookup.
+    std::vector<int> composite;
+    for (const int g : order) {
+        const int* dets = table.begin(g);
+        if (det_len[g] == 0) {
             // Pure observable flip with no detector signature: invisible
             // to any decoder; drop it (counted).
             ++dem.num_undecomposable;
-            dem.undecomposable_probability += p;
-            continue;
-        }
-        if (key.dets.size() == 1) {
-            add_edge(key.dets[0], DemEdge::kBoundary, p, key.obs);
-        } else if (key.dets.size() == 2) {
-            add_edge(key.dets[0], key.dets[1], p, key.obs);
+            dem.undecomposable_probability += group_p[g];
+        } else if (det_len[g] == 1) {
+            dem.edges.push_back(
+                {dets[0], DemEdge::kBoundary, group_p[g], obs_of[g]});
+        } else if (det_len[g] == 2) {
+            dem.edges.push_back({dets[0], dets[1], group_p[g], obs_of[g]});
         } else {
-            composite.emplace_back(key, p);
+            composite.push_back(g);
         }
     }
+    std::vector<int> row_start(static_cast<size_t>(num_dets) + 1, 0);
+    for (const DemEdge& e : dem.edges) {
+        ++row_start[e.d0 + 1];
+    }
+    for (int d = 0; d < num_dets; ++d) {
+        row_start[d + 1] += row_start[d];
+    }
+
     // Second pass: decompose composite mechanisms onto existing
-    // elementary edges with a backtracking perfect-matching search over
-    // the signature's detectors, where any detector may take a boundary
-    // edge instead of a partner (the greedy pair-then-leftover scheme
-    // this replaces failed on signatures that need boundary absorption
-    // mid-matching). A matching whose total observable action equals the
-    // mechanism's folds the probability into its edges exactly as
-    // before; every composite mechanism additionally records its
+    // elementary edges (Decomposer). A matching whose total observable
+    // action equals the mechanism's folds the probability into its
+    // edges; every composite mechanism additionally records its
     // structural matchings as hyperedge variants for the decoder's
-    // correlated second stage. A fabricated edge would poison the
-    // decoding graph, so signatures with no matching at all are still
-    // dropped (`num_undecomposable`).
-    constexpr int kMaxVariants = 8;
-    constexpr int kSearchBudget = 4096;
-    for (const auto& [key, p] : composite) {
-        std::vector<int> chosen;
-        int budget = kSearchBudget;
-        // Canonical DFS order (deterministic): the smallest remaining
-        // detector pairs with partners in ascending order before its
-        // boundary option; edge variants in ascending obs order.
-        std::function<bool(const std::vector<int>&, std::uint32_t)>
-            exact = [&](const std::vector<int>& rest,
-                        std::uint32_t acc) -> bool {
-            if (rest.empty()) {
-                return acc == key.obs;
-            }
-            if (--budget < 0) {
-                return false;
-            }
-            const int x = rest.front();
-            for (size_t j = 1; j < rest.size(); ++j) {
-                const auto it = pair_variants.find(canon(x, rest[j]));
-                if (it == pair_variants.end()) {
-                    continue;
-                }
-                std::vector<int> sub;
-                sub.reserve(rest.size() - 2);
-                for (size_t t = 1; t < rest.size(); ++t) {
-                    if (t != j) {
-                        sub.push_back(rest[t]);
-                    }
-                }
-                for (const size_t e : it->second) {
-                    chosen.push_back(static_cast<int>(e));
-                    if (exact(sub, acc ^ dem.edges[e].obs_mask)) {
-                        return true;
-                    }
-                    chosen.pop_back();
-                }
-            }
-            const auto boundary = pair_variants.find(
-                std::make_pair(x, DemEdge::kBoundary));
-            if (boundary != pair_variants.end()) {
-                const std::vector<int> sub(rest.begin() + 1, rest.end());
-                for (const size_t e : boundary->second) {
-                    chosen.push_back(static_cast<int>(e));
-                    if (exact(sub, acc ^ dem.edges[e].obs_mask)) {
-                        return true;
-                    }
-                    chosen.pop_back();
-                }
-            }
-            return false;
-        };
-        const bool exact_found = exact(key.dets, 0);
+    // correlated second stage, whether or not an exact matching existed:
+    // the peeling forest may realise ANY matching of the signature, and
+    // consistent variants must be present too, so a more probable
+    // consistent interpretation can veto a correction (the decoder
+    // arbitrates per edge set). A fabricated edge would poison the
+    // decoding graph, so signatures with no matching at all are dropped
+    // (`num_undecomposable`).
+    Decomposer decomposer(dem.edges, row_start);
+    for (const int g : composite) {
+        const int* dets = table.begin(g);
+        const double p = group_p[g];
+        const int n = det_len[g];
+        const bool exact_found = decomposer.Exact(dets, n, obs_of[g]);
         if (exact_found) {
-            for (const int e : chosen) {
+            for (const int e : decomposer.chosen()) {
                 double& q = dem.edges[e].p;
                 q = q * (1.0 - p) + p * (1.0 - q);
             }
             ++dem.num_decomposed;
         }
-        // Record the mechanism's structural matchings (over each pair's
-        // first variant) as hyperedge variants of one mechanism group,
-        // whether or not an exact matching existed: the peeling forest
-        // may realise ANY matching of the signature, and only variants
-        // whose observable XOR differs from the mechanism's need the
-        // second-stage correction — but consistent variants must be
-        // present too, so a more probable consistent interpretation can
-        // veto a correction (the decoder arbitrates per edge set).
-        std::vector<std::vector<int>> variants;
-        chosen.clear();
-        budget = kSearchBudget;
-        std::function<void(const std::vector<int>&)> enumerate =
-            [&](const std::vector<int>& rest) {
-            if (static_cast<int>(variants.size()) >= kMaxVariants ||
-                --budget < 0) {
-                return;
-            }
-            if (rest.empty()) {
-                std::vector<int> sorted = chosen;
-                std::sort(sorted.begin(), sorted.end());
-                if (std::find(variants.begin(), variants.end(), sorted) ==
-                    variants.end()) {
-                    variants.push_back(std::move(sorted));
-                }
-                return;
-            }
-            const int x = rest.front();
-            for (size_t j = 1; j < rest.size(); ++j) {
-                const auto it = pair_variants.find(canon(x, rest[j]));
-                if (it == pair_variants.end()) {
-                    continue;
-                }
-                std::vector<int> sub;
-                sub.reserve(rest.size() - 2);
-                for (size_t t = 1; t < rest.size(); ++t) {
-                    if (t != j) {
-                        sub.push_back(rest[t]);
-                    }
-                }
-                chosen.push_back(static_cast<int>(it->second.front()));
-                enumerate(sub);
-                chosen.pop_back();
-            }
-            const auto boundary = pair_variants.find(
-                std::make_pair(x, DemEdge::kBoundary));
-            if (boundary != pair_variants.end()) {
-                const std::vector<int> sub(rest.begin() + 1, rest.end());
-                chosen.push_back(
-                    static_cast<int>(boundary->second.front()));
-                enumerate(sub);
-                chosen.pop_back();
-            }
-        };
-        enumerate(key.dets);
+        std::vector<std::vector<int>> variants =
+            decomposer.Enumerate(dets, n);
         if (variants.empty()) {
             if (!exact_found) {
                 ++dem.num_undecomposable;
@@ -426,49 +547,49 @@ BuildDem(const NoisyCircuit& circuit,
         const int mech = dem.num_hyperedges++;
         dem.hyperedge_probability += p;
         for (std::vector<int>& v : variants) {
-            dem.hyperedges.push_back(
-                {key.dets, std::move(v), p, key.obs, mech});
+            dem.hyperedges.push_back({std::vector<int>(dets, dets + n),
+                                      std::move(v), p, obs_of[g], mech});
         }
     }
+
     // Final pass: parallel edges with conflicting observable masks cannot
     // be told apart by a syndrome decoder; keep the most probable one
     // (exactly what weighted matching would effectively do) and demote
     // the rest to single-edge hyperedges shadowing the kept edge, so the
     // conflicting mass stays represented and reported instead of
-    // silently vanishing. Hyperedge decompositions are remapped onto the
+    // silently vanishing. A pair's variants are adjacent, and the first
+    // one takes the slot. Hyperedge decompositions are remapped onto the
     // surviving edge indices.
-    std::map<std::pair<int, int>, size_t> slot_of_pair;
     std::vector<DemEdge> kept;
-    std::vector<size_t> remap(dem.edges.size(), 0);
+    std::vector<int> remap(dem.edges.size(), 0);
     struct Loser
     {
         DemEdge edge;
-        size_t slot;
+        int slot;
     };
     std::vector<Loser> losers;
     for (size_t i = 0; i < dem.edges.size(); ++i) {
         const DemEdge& e = dem.edges[i];
-        const auto key = std::make_pair(e.d0, e.d1);
-        const auto it = slot_of_pair.find(key);
-        if (it == slot_of_pair.end()) {
-            slot_of_pair[key] = kept.size();
-            remap[i] = kept.size();
+        if (kept.empty() || kept.back().d0 != e.d0 ||
+            kept.back().d1 != e.d1) {
+            remap[i] = static_cast<int>(kept.size());
             kept.push_back(e);
             continue;
         }
-        remap[i] = it->second;
-        DemEdge& winner = kept[it->second];
+        const int slot = static_cast<int>(kept.size()) - 1;
+        remap[i] = slot;
+        DemEdge& winner = kept.back();
         const DemEdge loser_edge = e.p > winner.p ? winner : e;
         if (e.p > winner.p) {
             winner = e;
         }
         dem.dropped_probability += loser_edge.p;
-        losers.push_back({loser_edge, it->second});
+        losers.push_back({loser_edge, slot});
     }
     dem.edges = std::move(kept);
     for (DemHyperedge& h : dem.hyperedges) {
         for (int& e : h.edges) {
-            e = static_cast<int>(remap[static_cast<size_t>(e)]);
+            e = remap[static_cast<size_t>(e)];
         }
         std::sort(h.edges.begin(), h.edges.end());
     }
@@ -478,7 +599,7 @@ BuildDem(const NoisyCircuit& circuit,
             dets.push_back(l.edge.d1);
         }
         dem.hyperedges.push_back({std::move(dets),
-                                  {static_cast<int>(l.slot)},
+                                  {l.slot},
                                   l.edge.p,
                                   l.edge.obs_mask,
                                   dem.num_hyperedges++});

@@ -1,15 +1,18 @@
 /**
  * @file
- * Detector-error-model (DEM) extraction, Stim-style: every individual
- * error component of every stochastic channel is injected into its own
- * bit-lane and the whole circuit is propagated once, so each lane ends up
- * holding exactly the set of detectors (and observables) that component
- * flips. Components are then merged into graph edges for the union-find
+ * Detector-error-model (DEM) extraction by backward error analysis
+ * (Gidney, "Stim: a fast stabilizer circuit simulator", Quantum 5, 497,
+ * 2021): one walk over the circuit, last instruction first, carries for
+ * every qubit the sorted sets of detectors and observables that an X or
+ * a Z error at that point would flip, so each error component's
+ * signature is the XOR of its Paulis' sets at its instruction. Identical
+ * components are then merged into graph edges for the union-find
  * decoder, with multi-detector components (Y errors, hook faults)
  * decomposed into elementary edges; mechanisms whose observable action
  * cannot be expressed on the elementary graph are kept as correlated
  * hyperedges (`DemHyperedge`) for the decoder's second stage instead of
- * being dropped.
+ * being dropped. DESIGN.md §3.3 has the bit-identity argument against
+ * the forward oracle in dem_reference.h.
  */
 #ifndef TIQEC_SIM_DEM_H
 #define TIQEC_SIM_DEM_H
@@ -100,20 +103,9 @@ struct DetectorErrorModel
     std::string Stats() const;
 };
 
-/** Example error mechanism, for debugging conflicting-edge reports. */
-struct MechanismExample
-{
-    std::vector<int> detectors;
-    std::uint32_t obs_mask = 0;
-    int instruction = -1;  ///< channel instruction the component came from
-    int component = -1;    ///< lane index
-};
-
-/** Extracts the DEM of `circuit` by exhaustive component propagation.
- *  When `examples` is non-null it receives one example component per
- *  distinct (detector set, observable) mechanism. */
-DetectorErrorModel BuildDem(const NoisyCircuit& circuit,
-                            std::vector<MechanismExample>* examples = nullptr);
+/** Extracts the DEM of `circuit`. Time is linear in instructions times
+ *  the live sensitivity-set size; memory is linear in the circuit. */
+DetectorErrorModel BuildDem(const NoisyCircuit& circuit);
 
 }  // namespace tiqec::sim
 

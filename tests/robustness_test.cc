@@ -215,6 +215,11 @@ TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
          "improvement must be finite and > 0, got 'inf'"},
         {"shots=-5", "shots must be >= 0, got '-5'"},
         {"target_errors=-1", "target_errors must be >= 0, got '-1'"},
+        // Omitting `rounds` selects the distance; an explicit count must
+        // not silently fall back to it.
+        {"rounds=0", "rounds must be >= 1, got '0'"},
+        {"rounds=-1", "rounds must be >= 1, got '-1'"},
+        {"rounds=-2", "rounds must be >= 1, got '-2'"},
     };
     for (const auto& [token, text] : cases) {
         SCOPED_TRACE(token);
@@ -235,12 +240,33 @@ TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
     }
     // The boundaries stay valid: zero budgets, any positive factor.
     for (const std::string token :
-         {"shots=0", "target_errors=0", "improvement=0.5"}) {
+         {"shots=0", "target_errors=0", "improvement=0.5", "rounds=1"}) {
         core::SweepCandidate candidate;
         std::string error;
         EXPECT_TRUE(core::ParseRequestCandidate(
             "family=rotated distance=3 " + token, &candidate, &error))
             << token << ": " << error;
+    }
+}
+
+/** `EvaluationOptions::rounds` is -1 (the code distance) or a positive
+ *  count; anything else fails the candidate with a pinned text. */
+TEST(RequestDomainTest, NonPositiveRoundsRejectedBySweep)
+{
+    const qec::RotatedSurfaceCode code(3);
+    core::EvaluationOptions options;
+    options.compile_only = true;
+    for (const int rounds : {0, -2}) {
+        options.rounds = rounds;
+        const core::Metrics m = core::Evaluate(code, {}, options);
+        EXPECT_FALSE(m.ok) << rounds;
+        EXPECT_EQ(m.error, "rounds must be -1 (the code distance) or >= 1, "
+                           "got " + std::to_string(rounds));
+    }
+    for (const int rounds : {-1, 1}) {
+        options.rounds = rounds;
+        const core::Metrics m = core::Evaluate(code, {}, options);
+        EXPECT_TRUE(m.ok) << rounds << ": " << m.error;
     }
 }
 

@@ -2,14 +2,23 @@
  * @file
  * Tests for the Stim-substitute simulation stack: noisy circuit IR, the
  * bit-parallel frame simulator, and the detector-error-model builder.
- * Includes hand-checkable propagation cases and statistical channel
- * tests.
+ * Includes hand-checkable propagation cases, statistical channel tests,
+ * and the differential suite pinning the backward DEM builder to its
+ * forward bit-lane oracle.
  */
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/request.h"
+#include "core/sweep.h"
 #include "sim/dem.h"
+#include "sim/dem_io.h"
+#include "sim/dem_reference.h"
 #include "sim/frame_simulator.h"
 #include "sim/noisy_circuit.h"
 
@@ -375,6 +384,172 @@ TEST(DemTest, MeasurementFlipMakesTimelikeEdge)
     EXPECT_EQ(dem.edges[0].d0, 0);
     EXPECT_EQ(dem.edges[0].d1, 1);
     EXPECT_NEAR(dem.edges[0].p, 0.001, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// DEM builder vs the forward bit-lane oracle
+// ---------------------------------------------------------------------------
+
+/** Empty when `FormatDem` of the two models agree, else the first line
+ *  that differs (a plain EXPECT_EQ would diff two multi-megabyte texts
+ *  line by line). */
+std::string
+DemDifference(const DetectorErrorModel& dem, const DetectorErrorModel& ref)
+{
+    const std::string a = FormatDem(dem);
+    const std::string b = FormatDem(ref);
+    if (a == b) {
+        return "";
+    }
+    size_t line_start = 0;
+    int line = 1;
+    for (size_t i = 0; i < a.size() && i < b.size() && a[i] == b[i]; ++i) {
+        if (a[i] == '\n') {
+            line_start = i + 1;
+            ++line;
+        }
+    }
+    auto line_of = [&](const std::string& text) {
+        return text.substr(line_start,
+                           text.find('\n', line_start) - line_start);
+    };
+    return "line " + std::to_string(line) + ": '" + line_of(a) +
+           "' vs oracle '" + line_of(b) + "'";
+}
+
+/** A seeded random circuit over every SimOp: two-qubit ops on distinct
+ *  qubits, measure/reset with and without noise, detectors that may list
+ *  one record twice, and multi-record observables that may name one of
+ *  the next two records before it is taken (it reads as zero then). */
+NoisyCircuit
+RandomCircuit(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+    auto prob = [&]() { return 0.001 * (1 + pick(200)); };
+    const int nq = 2 + pick(5);
+    NoisyCircuit c(nq);
+    auto records = [&](int n, int ahead) {
+        std::vector<std::int32_t> out;
+        for (int k = 0; k < n; ++k) {
+            out.push_back(pick(c.num_measurements() + ahead));
+        }
+        return out;
+    };
+    const int ops = 20 + pick(60);
+    for (int k = 0; k < ops; ++k) {
+        const int a = pick(nq);
+        const int b = (a + 1 + pick(nq - 1)) % nq;
+        switch (pick(11)) {
+          case 0:
+            c.AddH(a);
+            break;
+          case 1:
+            c.AddCnot(a, b);
+            break;
+          case 2:
+            c.AddSwap(a, b);
+            break;
+          case 3:
+            c.AddMeasure(a, pick(2) ? prob() : 0.0);
+            break;
+          case 4:
+            c.AddReset(a, pick(2) ? prob() : 0.0);
+            break;
+          case 5:
+            c.AddXError(a, prob());
+            break;
+          case 6:
+            c.AddZError(a, prob());
+            break;
+          case 7:
+            c.AddDepolarize1(a, prob());
+            break;
+          case 8:
+            c.AddDepolarize2(a, b, prob());
+            break;
+          case 9:
+            if (c.num_measurements() > 0) {
+                std::vector<std::int32_t> targets = records(1 + pick(3), 0);
+                if (pick(4) == 0) {
+                    targets.push_back(targets.front());
+                }
+                c.AddDetector(targets, {0, 0}, 0);
+            }
+            break;
+          default: {
+            const int observable = pick(3);
+            c.AddObservableInclude(observable, records(1 + pick(3), 2));
+            break;
+          }
+        }
+    }
+    // Close with a noisy readout of every qubit (at least two records,
+    // so every observable target exists), half of it detected.
+    for (int q = 0; q < nq; ++q) {
+        const int m = c.AddMeasure(q, prob());
+        if (pick(2)) {
+            c.AddDetector({m}, {0, 0}, 0);
+        }
+    }
+    return c;
+}
+
+TEST(DemReferenceTest, RandomCircuitsMatchOracle)
+{
+    int decomposed = 0;
+    int hyperedges = 0;
+    int undecomposable = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE(seed);
+        const NoisyCircuit c = RandomCircuit(seed);
+        const DetectorErrorModel dem = BuildDem(c);
+        EXPECT_EQ(DemDifference(dem, BuildDemReference(c)), "");
+        decomposed += dem.num_decomposed;
+        hyperedges += dem.num_hyperedges;
+        undecomposable += dem.num_undecomposable;
+    }
+    // The corpus reaches every stage of the merge.
+    EXPECT_GT(decomposed, 0);
+    EXPECT_GT(hyperedges, 0);
+    EXPECT_GT(undecomposable, 0);
+}
+
+TEST(DemReferenceTest, WorkloadCircuitsMatchOracle)
+{
+    const std::string lines[] = {
+        "family=rotated distance=3 topology=grid capacity=2",
+        "family=rotated distance=5 topology=grid capacity=2",
+        "family=rotated distance=3 topology=linear capacity=2",
+        "family=rotated distance=5 topology=linear capacity=2",
+        "family=merged_zz distance=3 topology=grid capacity=2 "
+        "workload=stability",
+        "family=merged_zz distance=3 topology=grid capacity=2 "
+        "workload=surgery",
+        "workload=program program=cnot distance=3",
+        "workload=program program=bell distance=3",
+    };
+    std::vector<core::SweepCandidate> candidates;
+    for (const std::string& line : lines) {
+        core::SweepCandidate candidate;
+        std::string error;
+        ASSERT_TRUE(core::ParseRequestCandidate(line + " shots=0",
+                                                &candidate, &error))
+            << line << ": " << error;
+        candidates.push_back(std::move(candidate));
+    }
+    core::SweepRunnerOptions options;
+    options.num_threads = 2;
+    const std::vector<core::SweepOutcome> outcomes =
+        core::SweepRunner(options).RunDetailed(candidates);
+    ASSERT_EQ(outcomes.size(), candidates.size());
+    for (const core::SweepOutcome& out : outcomes) {
+        SCOPED_TRACE(out.label);
+        ASSERT_TRUE(out.sim != nullptr) << out.metrics.error;
+        EXPECT_EQ(DemDifference(out.sim->dem,
+                                BuildDemReference(out.sim->experiment)),
+                  "");
+    }
 }
 
 }  // namespace
