@@ -19,6 +19,9 @@ using sim::DetectorErrorModel;
 
 /** Weight bound meaning "no undetectable logical error at any weight". */
 constexpr int kUnbounded = std::numeric_limits<int>::max();
+/** Cap on the exhaustive meet-in-the-middle witness weight: the
+ *  half-split argument covers weight 4. */
+constexpr int kMaxSearchWeight = 4;
 
 /** Flattens the DEM into its mechanism list: every elementary edge, then
  *  one entry per hyperedge mechanism group (variants of one mechanism
@@ -617,13 +620,11 @@ class MeetInTheMiddle
 }  // namespace
 
 DistanceCertificate
-CertifyDistance(const DetectorErrorModel& dem,
-                const DistanceCertifierOptions& options)
+CertifyDistance(const DetectorErrorModel& dem)
 {
     DistanceCertificate certificate;
     certificate.mechanisms = CollectMechanisms(dem);
     const std::vector<DemMechanism>& mechanisms = certificate.mechanisms;
-    const int cap = std::min(std::max(options.max_search_weight, 2), 4);
     certificate.graph_like = std::all_of(
         mechanisms.begin(), mechanisms.end(),
         [](const DemMechanism& m) { return m.dets.size() <= 2; });
@@ -662,17 +663,19 @@ CertifyDistance(const DetectorErrorModel& dem,
     // room for a witness it can reach.
     bool run_mitm = false;
     for (size_t o = 0; o < lower.size(); ++o) {
-        run_mitm |= !closed(o) && lower[o] <= cap;
+        run_mitm |= !closed(o) && lower[o] <= kMaxSearchWeight;
     }
     if (run_mitm) {
-        const MeetInTheMiddle mitm(mechanisms, dem.num_detectors, cap);
+        const MeetInTheMiddle mitm(mechanisms, dem.num_detectors,
+                                   kMaxSearchWeight);
         certificate.mitm_pairs = mitm.Search(accumulator);
         // Exhaustive up to the cap: the minimum is either found within
         // it or lies above it.
+        const int above = kMaxSearchWeight + 1;
         for (size_t o = 0; o < lower.size(); ++o) {
             lower[o] = std::max(
-                lower[o], best[o].found ? std::min(best[o].weight, cap + 1)
-                                        : cap + 1);
+                lower[o],
+                best[o].found ? std::min(best[o].weight, above) : above);
         }
     }
 
@@ -718,11 +721,11 @@ FormatWitness(const DistanceCertificate& certificate,
 
 std::vector<Diagnostic>
 CheckDistance(const DetectorErrorModel& dem, int expected_distance,
-              const DistanceCertifierOptions& options,
+              const DistanceCertifierOptions& /*unused*/,
               DistanceCertificate* certificate)
 {
     std::vector<Diagnostic> diagnostics;
-    DistanceCertificate cert = CertifyDistance(dem, options);
+    DistanceCertificate cert = CertifyDistance(dem);
     if (dem.num_undecomposable > 0) {
         std::ostringstream os;
         os << "cannot certify distance: " << dem.num_undecomposable

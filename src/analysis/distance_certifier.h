@@ -116,18 +116,18 @@ struct DistanceCertificate
     std::int64_t mitm_pairs = 0;
 };
 
+/** Certifies the per-observable effective distance of `dem`. The
+ *  exhaustive meet-in-the-middle witness search is capped at weight 4
+ *  (the half-split argument covers weight 4); the projection bound and
+ *  the graphlike search are never capped. */
+DistanceCertificate CertifyDistance(const sim::DetectorErrorModel& dem);
+
+/** Has no fields: the certifier takes no options. It survives only as
+ *  `CheckDistance`'s third parameter, which perfbench/request_bench.cc
+ *  passes as `{}`; drop both with the next benchmark change. */
 struct DistanceCertifierOptions
 {
-    /** Cap on the exhaustive meet-in-the-middle witness weight. Values
-     *  above 4 are clamped (the half-split argument covers weight 4);
-     *  the projection bound and the graphlike search are never capped. */
-    int max_search_weight = 4;
 };
-
-/** Certifies the per-observable effective distance of `dem`. */
-DistanceCertificate CertifyDistance(
-    const sim::DetectorErrorModel& dem,
-    const DistanceCertifierOptions& options = {});
 
 /** Renders a witness as "mechanism set {edge 3, hyperedge 12}" style
  *  text for diagnostics and reports. */

@@ -17,8 +17,8 @@ NumClustersFor(const qec::StabilizerCode& code, int trap_capacity)
             "trap capacity must be at least 2 (one slot is reserved for "
             "communication)");
     }
-    const int cluster_size = trap_capacity - 1;
-    return (code.num_qubits() + cluster_size - 1) / cluster_size;
+    // Ceiling division that cannot overflow at any capacity.
+    return 1 + (code.num_qubits() - 1) / (trap_capacity - 1);
 }
 
 qccd::DeviceGraph

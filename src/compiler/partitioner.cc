@@ -98,7 +98,7 @@ PartitionQubits(const qec::StabilizerCode& code, int cluster_size)
     const int n = code.num_qubits();
     Partition p;
     p.cluster_of.assign(n, -1);
-    p.num_clusters = (n + cluster_size - 1) / cluster_size;
+    p.num_clusters = 1 + (n - 1) / cluster_size;
 
     std::vector<QubitId> qubits;
     qubits.reserve(n);

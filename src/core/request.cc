@@ -17,6 +17,27 @@ namespace tiqec::core {
 
 namespace {
 
+/** The result line of a request that did not parse (see
+ *  `RequestBatch::parse_errors`). */
+std::string
+ParseErrorRecord(const std::string& line, const std::string& error)
+{
+    std::string label;
+    std::istringstream tokens(line);
+    std::string token;
+    while (tokens >> token) {
+        if (token.rfind("label=", 0) == 0) {
+            label = token.substr(6);
+        }
+    }
+    common::JsonRecord r;
+    r.Add("label", label);
+    r.Add("request", line);
+    r.Add("ok", false);
+    r.Add("error", "request parse: " + error);
+    return r.Object();
+}
+
 qccd::TopologyKind
 ParseTopology(const std::string& value)
 {
@@ -243,23 +264,30 @@ ParseRequestCandidate(const std::string& line, SweepCandidate* out,
     return true;
 }
 
-std::string
-ParseErrorRecord(const std::string& line, const std::string& error)
+RequestBatch
+ParseRequestBatch(const std::string& request_text)
 {
-    std::string label;
-    std::istringstream tokens(line);
-    std::string token;
-    while (tokens >> token) {
-        if (token.rfind("label=", 0) == 0) {
-            label = token.substr(6);
+    RequestBatch batch;
+    std::istringstream stream(request_text);
+    std::string line;
+    while (std::getline(stream, line)) {
+        text::StripCr(line);
+        const size_t first = line.find_first_not_of(" \t");
+        if (first == std::string::npos || line[first] == '#') {
+            continue;
         }
+        SweepCandidate candidate;
+        std::string error;
+        if (ParseRequestCandidate(line, &candidate, &error)) {
+            batch.parse_errors.emplace_back();
+            batch.candidate_lines.push_back(batch.lines.size());
+            batch.candidates.push_back(std::move(candidate));
+        } else {
+            batch.parse_errors.push_back(ParseErrorRecord(line, error));
+        }
+        batch.lines.push_back(std::move(line));
     }
-    common::JsonRecord r;
-    r.Add("label", label);
-    r.Add("request", line);
-    r.Add("ok", false);
-    r.Add("error", "request parse: " + error);
-    return r.Object();
+    return batch;
 }
 
 }  // namespace tiqec::core

@@ -25,6 +25,7 @@
 #define TIQEC_CORE_REQUEST_H
 
 #include <string>
+#include <vector>
 
 #include "core/architecture.h"
 #include "core/sweep.h"
@@ -73,15 +74,25 @@ SweepCandidate MakeSweepCandidate(const RequestSpec& spec);
 bool ParseRequestCandidate(const std::string& line, SweepCandidate* out,
                            std::string* error);
 
-/**
- * The JSON result line for a request that `ParseRequestCandidate`
- * rejected with `error`: label, request, ok=false, and the error
- * prefixed "request parse: ". The label is the line's last `label=`
- * token — the one a successful parse would have kept — or empty.
- * Shared by the sweep service and `tiqec_certify`.
- */
-std::string ParseErrorRecord(const std::string& line,
-                             const std::string& error);
+/** A request batch split into its request lines (blank and `#` lines
+ *  dropped, CRs stripped), each parsed by `ParseRequestCandidate`. */
+struct RequestBatch
+{
+    /** Every request line, in file order. */
+    std::vector<std::string> lines;
+    /** Per line: the JSON result line of a request that did not parse
+     *  (label, request, ok=false, and the error prefixed "request
+     *  parse: "; the label is the line's last `label=` token, the one
+     *  a successful parse would have kept), or empty when it parsed. */
+    std::vector<std::string> parse_errors;
+    /** The parsed candidates in line order, and the line of each. */
+    std::vector<SweepCandidate> candidates;
+    std::vector<size_t> candidate_lines;
+};
+
+/** Parses a request batch; shared by the sweep service and
+ *  `tiqec_certify`. */
+RequestBatch ParseRequestBatch(const std::string& request_text);
 
 }  // namespace tiqec::core
 

@@ -6,8 +6,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "analysis/analysis.h"
 #include "common/worker_pool.h"
@@ -56,20 +58,34 @@ SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
             static_cast<const void*>(spec.program.get())};
 }
 
-CompileKey
-CompileKeyOf(const SweepCandidate& c, const qec::StabilizerCode* unit)
+/** A candidate's stage keys, computed once: one noise key per unit (in
+ *  `UnitCodesFor` order; its leading element is the unit's compile
+ *  key) and the sim key of its primary unit. */
+struct CandidateKeys
 {
-    return {static_cast<const void*>(unit),
-            static_cast<const void*>(c.device.get()),
-            static_cast<int>(c.arch.topology), c.arch.trap_capacity,
-            static_cast<int>(c.arch.wiring), c.compile_rounds};
-}
+    std::vector<const qec::StabilizerCode*> units;
+    std::vector<NoiseKey> unit_keys;
+    size_t primary = 0;
+    int rounds = 0;
+    SimKey sim;
+};
+
+struct CompileEntry
+{
+    /** Shared with every outcome that reads this entry. */
+    std::shared_ptr<CompileArtifacts> arts =
+        std::make_shared<CompileArtifacts>();
+    /** Content-addressed store key (set only with a store attached);
+     *  the noise and sim store keys chain off it. */
+    store::StoreKey store_key;
+};
 
 struct NoiseEntry
 {
     bool ok = false;
     std::string error;
     noise::RoundNoiseProfile profile;
+    store::StoreKey store_key;
 };
 
 struct SimEntry
@@ -78,6 +94,90 @@ struct SimEntry
     std::string error;
     /** Shared with every outcome that reads this entry. */
     std::shared_ptr<SimArtifacts> arts = std::make_shared<SimArtifacts>();
+};
+
+/** The first (candidate, unit) that asked for a key, in candidate
+ *  order. A stage body reads its inputs off this exemplar, so which
+ *  worker runs a key never changes what it computes. */
+struct Exemplar
+{
+    size_t candidate = 0;
+    size_t unit = 0;
+};
+
+/**
+ * One stage's keyed cache. `Want` collects the distinct keys the live
+ * candidates ask for; `Run` computes each entry once on the pool,
+ * workers claiming keys in key order off an atomic counter.
+ */
+template <typename Key, typename Entry>
+class KeyedStage
+{
+  public:
+    void Want(const Key& key, size_t candidate, size_t unit = 0)
+    {
+        const auto [it, inserted] = slots_.try_emplace(key);
+        if (inserted) {
+            it->second.exemplar = Exemplar{candidate, unit};
+        }
+    }
+
+    /** Calls `body(key, exemplar, entry)` once per wanted key. */
+    template <typename Body>
+    void Run(int num_threads, const Body& body)
+    {
+        std::vector<std::pair<const Key, Slot>*> tasks;
+        tasks.reserve(slots_.size());
+        for (auto& slot : slots_) {
+            tasks.push_back(&slot);
+        }
+        const auto n = static_cast<std::int64_t>(tasks.size());
+        std::atomic<std::int64_t> next{0};
+        RunWorkers(num_threads, n, [&]() {
+            for (;;) {
+                const std::int64_t t =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (t >= n) {
+                    return;
+                }
+                body(tasks[t]->first, tasks[t]->second.exemplar,
+                     tasks[t]->second.entry);
+            }
+        });
+    }
+
+    const Entry& at(const Key& key) const { return slots_.at(key).entry; }
+
+  private:
+    struct Slot
+    {
+        Exemplar exemplar;
+        Entry entry;
+    };
+    std::map<Key, Slot> slots_;
+};
+
+/** How far a candidate got before its first failure. The outcome
+ *  carries the artifacts of every stage before that point. */
+enum class FailedAt : std::uint8_t
+{
+    kNowhere,
+    /** Malformed candidate: stub compile artifacts only. */
+    kInput,
+    /** A compile, compile validation or annotate of some unit: the
+     *  primary unit's compile artifacts, no metrics. */
+    kCompile,
+    /** The experiment + DEM build: compile metrics, no sim artifacts. */
+    kSimBuild,
+    /** Sim validation, certification or the Monte-Carlo run: compile
+     *  metrics and sim artifacts. */
+    kSimUse,
+};
+
+struct Failure
+{
+    FailedAt at = FailedAt::kNowhere;
+    std::string error;
 };
 
 /** The message of a captured exception (a Monte-Carlo shard failure). */
@@ -93,28 +193,25 @@ ErrorText(const std::exception_ptr& error)
     }
 }
 
-/** Claims indices [0, n) off an atomic counter across the pool. */
-template <typename Fn>
-void
-ParallelForIndex(int num_threads, std::int64_t n, const Fn& fn)
+/** Why a candidate cannot enter the chain at all, or empty. */
+std::string
+InvalidReason(const SweepCandidate& c)
 {
-    std::atomic<std::int64_t> next{0};
-    RunWorkers(num_threads, n, [&]() {
-        for (;;) {
-            const std::int64_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) {
-                return;
-            }
-            fn(i);
-        }
-    });
-}
-
-int
-RoundsOf(const SweepCandidate& c)
-{
-    return c.options.rounds > 0 ? c.options.rounds : c.code->distance();
+    if (!c.code) {
+        return "candidate has no code";
+    }
+    if (c.compile_rounds < 1) {
+        return "compile_rounds must be >= 1";
+    }
+    if (c.options.rounds != -1 && c.options.rounds < 1) {
+        return "rounds must be -1 (the code distance) or >= 1, got " +
+               std::to_string(c.options.rounds);
+    }
+    if (c.compile_rounds != 1 && !c.options.compile_only) {
+        return "multi-round compilation is compile-only (the noise "
+               "annotator requires a one-round schedule)";
+    }
+    return CheckProgramCandidate(*c.code, c.options.workload);
 }
 
 }  // namespace
@@ -148,485 +245,332 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         astore != nullptr ? astore->counters()
                           : store::ArtifactStore::Counters{};
 
-    // Reject malformed candidates up front; everything else flows through
-    // the staged cache. `invalid[i]` short-circuits the later phases.
-    std::vector<std::string> invalid(n);
-    std::vector<workloads::WorkloadSpec> specs(n);
-    std::vector<std::vector<const qec::StabilizerCode*>> units(n);
-    std::vector<size_t> primary(n, 0);
+    // Every candidate holds one first-failure slot. Malformed ones fail
+    // here; each stage below runs for the candidates still live, and
+    // `gate` then records the first error a live candidate meets, so
+    // failure precedence is stage order (and unit order within a
+    // stage) whatever order the pool ran the keys in.
+    std::vector<Failure> failed(n);
+    std::vector<CandidateKeys> keys(n);
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
-        if (!c.code) {
-            invalid[i] = "candidate has no code";
+        if (std::string reason = InvalidReason(c); !reason.empty()) {
+            failed[i] = {FailedAt::kInput, std::move(reason)};
             continue;
         }
-        if (c.compile_rounds < 1) {
-            invalid[i] = "compile_rounds must be >= 1";
-            continue;
+        const workloads::WorkloadSpec& spec = c.options.workload;
+        CandidateKeys& k = keys[i];
+        k.units = UnitCodesFor(*c.code, spec);
+        for (const qec::StabilizerCode* unit : k.units) {
+            const CompileKey ck{static_cast<const void*>(unit),
+                                static_cast<const void*>(c.device.get()),
+                                static_cast<int>(c.arch.topology),
+                                c.arch.trap_capacity,
+                                static_cast<int>(c.arch.wiring),
+                                c.compile_rounds};
+            k.unit_keys.emplace_back(ck, c.arch.gate_improvement);
         }
-        if (c.options.rounds != -1 && c.options.rounds < 1) {
-            invalid[i] = "rounds must be -1 (the code distance) or >= 1, "
-                         "got " +
-                         std::to_string(c.options.rounds);
-            continue;
+        if (spec.program != nullptr) {
+            k.primary = static_cast<size_t>(spec.program->primary_index());
         }
-        if (c.compile_rounds != 1 && !c.options.compile_only) {
-            invalid[i] = "multi-round compilation is compile-only (the "
-                         "noise annotator requires a one-round schedule)";
-            continue;
-        }
-        specs[i] = c.options.workload;
-        invalid[i] = CheckProgramCandidate(*c.code, specs[i]);
-        if (!invalid[i].empty()) {
-            continue;
-        }
-        units[i] = UnitCodesFor(*c.code, specs[i]);
-        if (specs[i].program != nullptr) {
-            primary[i] =
-                static_cast<size_t>(specs[i].program->primary_index());
-        }
+        k.rounds = c.options.rounds > 0 ? c.options.rounds
+                                        : c.code->distance();
+        k.sim = SimKeyOf(k.unit_keys[k.primary], spec, k.rounds);
     }
-
-    // ---- Stage 1: compile once per unique key, pool-parallel. With a
-    // store attached, each unique compile probes the store first: a hit
-    // skips the compiler entirely, a corrupt artifact isolates the
-    // candidate with the store's diagnostic (exactly like a compile
-    // error), and a miss compiles and persists the successful bundle.
-    using UnitExemplar =
-        std::pair<const SweepCandidate*, const qec::StabilizerCode*>;
-    std::map<CompileKey, std::shared_ptr<CompileArtifacts>> compile_cache;
-    for (size_t i = 0; i < n; ++i) {
-        if (invalid[i].empty()) {
-            for (const qec::StabilizerCode* unit : units[i]) {
-                compile_cache.try_emplace(
-                    CompileKeyOf(candidates[i], unit),
-                    std::make_shared<CompileArtifacts>());
-            }
-        }
-    }
-    // Content-addressed store keys, resolved once per unique compile
-    // (CodeFingerprint serialises the whole code; no need to redo that
-    // in the noise/sim stages).
-    std::map<CompileKey, store::StoreKey> store_keys;
-    {
-        std::vector<std::pair<const CompileKey*, CompileArtifacts*>> tasks;
-        tasks.reserve(compile_cache.size());
-        std::map<CompileKey, UnitExemplar> exemplar;
+    const auto live = [&](size_t i) {
+        return failed[i].at == FailedAt::kNowhere;
+    };
+    const auto simulates = [&](size_t i) {
+        return live(i) && !candidates[i].options.compile_only;
+    };
+    const auto gate = [&](FailedAt at, const auto& error_of) {
         for (size_t i = 0; i < n; ++i) {
-            if (invalid[i].empty()) {
-                for (const qec::StabilizerCode* unit : units[i]) {
-                    exemplar.try_emplace(CompileKeyOf(candidates[i], unit),
-                                         UnitExemplar{&candidates[i], unit});
+            if (live(i)) {
+                if (const std::string* error = error_of(i)) {
+                    failed[i] = {at, *error};
                 }
             }
         }
-        if (astore != nullptr) {
-            for (const auto& [key, ex] : exemplar) {
-                store_keys.try_emplace(
-                    key, store::CompileStoreKey(
-                             *ex.second, ex.first->arch,
-                             ex.first->compile_rounds,
-                             ex.first->device.get()));
+    };
+    const auto compile_key = [](const NoiseKey& nk) -> const CompileKey& {
+        return std::get<0>(nk);
+    };
+
+    // ---- Stage 1: compile once per unique key. With a store attached,
+    // each unique compile probes the store first: a hit skips the
+    // compiler entirely, a corrupt artifact isolates the candidate with
+    // the store's diagnostic (exactly like a compile error), and a miss
+    // compiles and persists the successful bundle.
+    KeyedStage<CompileKey, CompileEntry> compile;
+    for (size_t i = 0; i < n; ++i) {
+        if (live(i)) {
+            for (size_t u = 0; u < keys[i].units.size(); ++u) {
+                compile.Want(compile_key(keys[i].unit_keys[u]), i, u);
             }
         }
-        for (auto& [key, arts] : compile_cache) {
-            tasks.emplace_back(&key, arts.get());
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const auto& [candidate, unit] = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = *candidate;
-                CompileArtifacts& arts = *tasks[t].second;
-                if (astore != nullptr) {
-                    const store::StoreKey& skey =
-                        store_keys.at(*tasks[t].first);
-                    std::string err;
-                    const store::LoadStatus status = astore->LoadCompile(
-                        skey, *unit, c.arch, c.compile_rounds,
-                        c.device.get(), &arts, &err);
-                    if (status == store::LoadStatus::kHit) {
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        arts = CompileArtifacts{};
-                        arts.error = err;
-                        return;
-                    }
-                }
-                arts = CompileCandidate(*unit, c.arch, c.compile_rounds,
-                                        c.device.get());
-                num_compiles.fetch_add(1, std::memory_order_relaxed);
-                if (astore != nullptr && arts.ok) {
-                    astore->StoreCompile(store_keys.at(*tasks[t].first),
-                                         arts);
-                }
-            });
     }
+    compile.Run(threads, [&](const CompileKey&, const Exemplar& ex,
+                             CompileEntry& entry) {
+        const SweepCandidate& c = candidates[ex.candidate];
+        const qec::StabilizerCode& unit = *keys[ex.candidate].units[ex.unit];
+        CompileArtifacts& arts = *entry.arts;
+        if (astore != nullptr) {
+            entry.store_key = store::CompileStoreKey(
+                unit, c.arch, c.compile_rounds, c.device.get());
+            std::string err;
+            const store::LoadStatus status = astore->LoadCompile(
+                entry.store_key, unit, c.arch, c.compile_rounds,
+                c.device.get(), &arts, &err);
+            if (status == store::LoadStatus::kHit) {
+                return;
+            }
+            if (status == store::LoadStatus::kCorrupt) {
+                arts = CompileArtifacts{};
+                arts.error = err;
+                return;
+            }
+        }
+        arts = CompileCandidate(unit, c.arch, c.compile_rounds,
+                                c.device.get());
+        num_compiles.fetch_add(1, std::memory_order_relaxed);
+        if (astore != nullptr && arts.ok) {
+            astore->StoreCompile(entry.store_key, arts);
+        }
+    });
+    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
+        for (const NoiseKey& nk : keys[i].unit_keys) {
+            const CompileArtifacts& arts = *compile.at(compile_key(nk)).arts;
+            if (!arts.ok) {
+                return &arts.error;
+            }
+        }
+        return nullptr;
+    });
 
     // ---- Stage 1b: artifact validation once per compile key that any
     // validating candidate references. A failure gates only candidates
     // with validate_artifacts set (the cached artifacts stay shared), and
     // its formatted diagnostics flow through failure isolation exactly
     // like a compile error.
-    std::map<CompileKey, std::string> compile_validation;
-    {
-        std::map<CompileKey, const SweepCandidate*> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (invalid[i].empty() && c.options.validate_artifacts) {
-                for (const qec::StabilizerCode* unit : units[i]) {
-                    const CompileKey ck = CompileKeyOf(c, unit);
-                    if (compile_cache.at(ck)->ok) {
-                        compile_validation.try_emplace(ck);
-                        exemplar.try_emplace(ck, &c);
-                    }
-                }
+    KeyedStage<CompileKey, std::string> compile_check;
+    for (size_t i = 0; i < n; ++i) {
+        if (live(i) && candidates[i].options.validate_artifacts) {
+            for (size_t u = 0; u < keys[i].units.size(); ++u) {
+                compile_check.Want(compile_key(keys[i].unit_keys[u]), i, u);
             }
         }
-        std::vector<std::pair<const CompileKey*, std::string*>> tasks;
-        tasks.reserve(compile_validation.size());
-        for (auto& [key, error] : compile_validation) {
-            tasks.emplace_back(&key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const SweepCandidate& c = *exemplar.at(*tasks[t].first);
-                const CompileArtifacts& arts =
-                    *compile_cache.at(*tasks[t].first);
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::ValidateCompiledArtifacts(
-                        arts.compiled, arts.graph, arts.timing,
-                        c.arch.wiring == WiringKind::kWise);
-                num_validations.fetch_add(1, std::memory_order_relaxed);
-                if (!diags.empty()) {
-                    num_validation_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kCompiledSubject, diags);
-                }
-            });
     }
-    // Per-candidate gates over every unit, in `UnitCodesFor` order, so
-    // the first failing unit decides the reported error text whatever
-    // order the pool ran the units in. Single-unit candidates reduce to
-    // one-key checks.
-    const auto unit_compile_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        for (const qec::StabilizerCode* unit : units[i]) {
-            const CompileArtifacts& arts =
-                *compile_cache.at(CompileKeyOf(c, unit));
-            if (!arts.ok) {
-                return &arts.error;
+    compile_check.Run(threads, [&](const CompileKey& ck, const Exemplar& ex,
+                                   std::string& error) {
+        const CompileArtifacts& arts = *compile.at(ck).arts;
+        const std::vector<analysis::Diagnostic> diags =
+            analysis::ValidateCompiledArtifacts(
+                arts.compiled, arts.graph, arts.timing,
+                candidates[ex.candidate].arch.wiring == WiringKind::kWise);
+        num_validations.fetch_add(1, std::memory_order_relaxed);
+        if (!diags.empty()) {
+            num_validation_failures.fetch_add(1, std::memory_order_relaxed);
+            error = analysis::FormatDiagnostics(analysis::kCompiledSubject,
+                                                diags);
+        }
+    });
+    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
+        if (candidates[i].options.validate_artifacts) {
+            for (const NoiseKey& nk : keys[i].unit_keys) {
+                const std::string& error = compile_check.at(compile_key(nk));
+                if (!error.empty()) {
+                    return &error;
+                }
             }
         }
         return nullptr;
-    };
-    const auto unit_validation_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        if (!c.options.validate_artifacts) {
-            return nullptr;
-        }
-        for (const qec::StabilizerCode* unit : units[i]) {
-            const auto it = compile_validation.find(CompileKeyOf(c, unit));
-            if (it != compile_validation.end() && !it->second.empty()) {
-                return &it->second;
-            }
-        }
-        return nullptr;
-    };
+    });
 
     // ---- Stage 2: annotate once per unique noise scenario (per unit).
-    std::map<NoiseKey, NoiseEntry> noise_cache;
-    {
-        std::map<NoiseKey, UnitExemplar> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.compile_rounds != 1) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr) {
-                continue;
-            }
-            for (const qec::StabilizerCode* unit : units[i]) {
-                const NoiseKey nk{CompileKeyOf(c, unit),
-                                  c.arch.gate_improvement};
-                noise_cache.try_emplace(nk);
-                exemplar.try_emplace(nk, UnitExemplar{&c, unit});
+    // Multi-round compile-only candidates have no noise profile.
+    const auto annotated = [&](size_t i) {
+        return live(i) && candidates[i].compile_rounds == 1;
+    };
+    KeyedStage<NoiseKey, NoiseEntry> noise;
+    for (size_t i = 0; i < n; ++i) {
+        if (annotated(i)) {
+            for (size_t u = 0; u < keys[i].units.size(); ++u) {
+                noise.Want(keys[i].unit_keys[u], i, u);
             }
         }
-        std::vector<std::pair<const NoiseKey*, NoiseEntry*>> tasks;
-        tasks.reserve(noise_cache.size());
-        for (auto& [key, entry] : noise_cache) {
-            tasks.emplace_back(&key, &entry);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const auto& [candidate, unit] = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = *candidate;
-                NoiseEntry& entry = *tasks[t].second;
-                const CompileKey ck = CompileKeyOf(c, unit);
-                const CompileArtifacts& comp = *compile_cache.at(ck);
-                store::StoreKey nkey;
-                if (astore != nullptr) {
-                    nkey = store::NoiseStoreKey(store_keys.at(ck),
-                                                c.arch.gate_improvement);
-                    std::string err;
-                    const store::LoadStatus status = astore->LoadNoise(
-                        nkey, comp.compiled.qec_circuit.size(),
-                        unit->num_qubits(), &entry.profile, &err);
-                    if (status == store::LoadStatus::kHit) {
-                        entry.ok = true;
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        entry.error = err;
-                        return;
-                    }
-                }
-                try {
-                    entry.profile = AnnotateCandidate(*unit, c.arch, comp);
-                    num_annotates.fetch_add(1, std::memory_order_relaxed);
-                    entry.ok = true;
-                    if (astore != nullptr) {
-                        astore->StoreNoise(nkey, entry.profile);
-                    }
-                } catch (const std::exception& e) {
-                    entry.error = e.what();
-                }
-            });
     }
-    const auto unit_noise_error = [&](size_t i) -> const std::string* {
-        const SweepCandidate& c = candidates[i];
-        for (const qec::StabilizerCode* unit : units[i]) {
-            const NoiseEntry& entry = noise_cache.at(
-                NoiseKey{CompileKeyOf(c, unit), c.arch.gate_improvement});
+    noise.Run(threads, [&](const NoiseKey& nk, const Exemplar& ex,
+                           NoiseEntry& entry) {
+        const SweepCandidate& c = candidates[ex.candidate];
+        const qec::StabilizerCode& unit = *keys[ex.candidate].units[ex.unit];
+        const CompileEntry& comp = compile.at(compile_key(nk));
+        if (astore != nullptr) {
+            entry.store_key = store::NoiseStoreKey(comp.store_key,
+                                                   c.arch.gate_improvement);
+            std::string err;
+            const store::LoadStatus status = astore->LoadNoise(
+                entry.store_key, comp.arts->compiled.qec_circuit.size(),
+                unit.num_qubits(), &entry.profile, &err);
+            if (status == store::LoadStatus::kHit) {
+                entry.ok = true;
+                return;
+            }
+            if (status == store::LoadStatus::kCorrupt) {
+                entry.error = err;
+                return;
+            }
+        }
+        try {
+            entry.profile = AnnotateCandidate(unit, c.arch, *comp.arts);
+            num_annotates.fetch_add(1, std::memory_order_relaxed);
+            entry.ok = true;
+            if (astore != nullptr) {
+                astore->StoreNoise(entry.store_key, entry.profile);
+            }
+        } catch (const std::exception& e) {
+            entry.error = e.what();
+        }
+    });
+    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
+        if (annotated(i)) {
+            for (const NoiseKey& nk : keys[i].unit_keys) {
+                const NoiseEntry& entry = noise.at(nk);
+                if (!entry.ok) {
+                    return &entry.error;
+                }
+            }
+        }
+        return nullptr;
+    });
+
+    // ---- Stage 3: experiment + DEM once per unique experiment shape.
+    // The primary unit's noise key leads the sim key; a program
+    // candidate additionally needs every phase unit's artifacts, which
+    // the exemplar's candidate keys recover.
+    KeyedStage<SimKey, SimEntry> sim;
+    for (size_t i = 0; i < n; ++i) {
+        if (simulates(i)) {
+            sim.Want(keys[i].sim, i);
+        }
+    }
+    sim.Run(threads, [&](const SimKey& sk, const Exemplar& ex,
+                         SimEntry& entry) {
+        const SweepCandidate& c = candidates[ex.candidate];
+        const CandidateKeys& k = keys[ex.candidate];
+        const workloads::WorkloadSpec& spec = c.options.workload;
+        const NoiseKey& primary_nk = k.unit_keys[k.primary];
+        store::StoreKey skey;
+        if (astore != nullptr) {
+            // Rounds/basis/workload come off the (normalised) in-memory
+            // key so the store shares exactly what the in-memory cache
+            // shares; a program workload contributes its canonical text
+            // (content identity, where the in-memory key uses object
+            // identity).
+            skey = store::SimStoreKey(
+                noise.at(primary_nk).store_key, std::get<1>(sk),
+                std::get<2>(sk), std::get<3>(sk),
+                spec.program != nullptr ? spec.program->canonical_text()
+                                        : std::string());
+            std::string err;
+            const store::LoadStatus status =
+                astore->LoadSim(skey, entry.arts.get(), &err);
+            if (status == store::LoadStatus::kHit) {
+                entry.ok = true;
+                return;
+            }
+            if (status == store::LoadStatus::kCorrupt) {
+                entry.error = err;
+                return;
+            }
+        }
+        try {
+            if (spec.program != nullptr) {
+                std::vector<ProgramUnit> punits;
+                punits.reserve(k.units.size());
+                for (size_t u = 0; u < k.units.size(); ++u) {
+                    punits.push_back(ProgramUnit{
+                        k.units[u],
+                        compile.at(compile_key(k.unit_keys[u])).arts.get(),
+                        &noise.at(k.unit_keys[u]).profile});
+                }
+                *entry.arts = BuildProgramSimArtifacts(*spec.program, punits,
+                                                       c.arch, k.rounds);
+            } else {
+                *entry.arts = BuildSimArtifacts(
+                    *c.code, *compile.at(compile_key(primary_nk)).arts,
+                    noise.at(primary_nk).profile, c.arch, k.rounds, spec);
+            }
+            num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+            entry.ok = true;
+            if (astore != nullptr) {
+                astore->StoreSim(skey, *entry.arts);
+            }
+        } catch (const std::exception& e) {
+            entry.error = e.what();
+        }
+    });
+    gate(FailedAt::kSimBuild, [&](size_t i) -> const std::string* {
+        if (simulates(i)) {
+            const SimEntry& entry = sim.at(keys[i].sim);
             if (!entry.ok) {
                 return &entry.error;
             }
         }
         return nullptr;
-    };
+    });
 
-    // ---- Stage 3: experiment + DEM once per unique experiment shape.
-    // The primary unit's noise key leads the sim key; a program
-    // candidate additionally needs every phase unit's artifacts, which
-    // the exemplar's candidate index recovers.
-    const auto primary_nk_of = [&](size_t i) {
-        const SweepCandidate& c = candidates[i];
-        return NoiseKey{CompileKeyOf(c, units[i][primary[i]]),
-                        c.arch.gate_improvement};
-    };
-    std::map<SimKey, SimEntry> sim_cache;
-    {
-        std::map<SimKey, size_t> exemplar;
+    // ---- Stages 3b and 3c: validate the simulation artifacts (circuit
+    // + DEM rules, plus the workload-aware unreferenced-record check),
+    // then certify the effective fault distance, each once per sim key
+    // any opted-in candidate references. Candidates sharing a sim key
+    // share the code object and workload, so the exemplar's options are
+    // the key's options. A failure isolates the candidate exactly like
+    // a compile error.
+    const auto check_sim = [&](bool EvaluationOptions::*opt_in,
+                               const auto& check, std::string_view subject,
+                               std::atomic<std::int64_t>& runs,
+                               std::atomic<std::int64_t>& failures) {
+        KeyedStage<SimKey, std::string> stage;
         for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1) {
-                continue;
+            if (simulates(i) && candidates[i].options.*opt_in) {
+                stage.Want(keys[i].sim, i);
             }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
+        }
+        stage.Run(threads, [&](const SimKey& sk, const Exemplar& ex,
+                               std::string& error) {
+            const std::vector<analysis::Diagnostic> diags =
+                check(candidates[ex.candidate], *sim.at(sk).arts);
+            runs.fetch_add(1, std::memory_order_relaxed);
+            if (!diags.empty()) {
+                failures.fetch_add(1, std::memory_order_relaxed);
+                error = analysis::FormatDiagnostics(subject, diags);
             }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            sim_cache.try_emplace(sk);
-            exemplar.try_emplace(sk, i);
-        }
-        std::vector<std::pair<const SimKey*, SimEntry*>> tasks;
-        tasks.reserve(sim_cache.size());
-        for (auto& [key, entry] : sim_cache) {
-            tasks.emplace_back(&key, &entry);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const SimKey& sk = *tasks[t].first;
-                const size_t i = exemplar.at(sk);
-                const SweepCandidate& c = candidates[i];
-                SimEntry& entry = *tasks[t].second;
-                const CompileKey ck = CompileKeyOf(c, units[i][primary[i]]);
-                const NoiseKey nk{ck, c.arch.gate_improvement};
-                store::StoreKey skey;
-                if (astore != nullptr) {
-                    // Rounds/basis/workload come off the (normalised)
-                    // in-memory key so the store shares exactly what
-                    // the in-memory cache shares; a program workload
-                    // contributes its canonical text (content identity,
-                    // where the in-memory key uses object identity).
-                    skey = store::SimStoreKey(
-                        store::NoiseStoreKey(store_keys.at(ck),
-                                             c.arch.gate_improvement),
-                        std::get<1>(sk), std::get<2>(sk), std::get<3>(sk),
-                        specs[i].program != nullptr
-                            ? specs[i].program->canonical_text()
-                            : std::string());
-                    std::string err;
-                    const store::LoadStatus status =
-                        astore->LoadSim(skey, entry.arts.get(), &err);
-                    if (status == store::LoadStatus::kHit) {
-                        entry.ok = true;
-                        return;
-                    }
-                    if (status == store::LoadStatus::kCorrupt) {
-                        entry.error = err;
-                        return;
-                    }
+        });
+        gate(FailedAt::kSimUse, [&](size_t i) -> const std::string* {
+            if (simulates(i) && candidates[i].options.*opt_in) {
+                const std::string& error = stage.at(keys[i].sim);
+                if (!error.empty()) {
+                    return &error;
                 }
-                try {
-                    if (specs[i].program != nullptr) {
-                        std::vector<ProgramUnit> punits;
-                        punits.reserve(units[i].size());
-                        for (const qec::StabilizerCode* unit : units[i]) {
-                            const CompileKey uck = CompileKeyOf(c, unit);
-                            punits.push_back(ProgramUnit{
-                                unit, compile_cache.at(uck).get(),
-                                &noise_cache
-                                     .at(NoiseKey{uck,
-                                                  c.arch.gate_improvement})
-                                     .profile});
-                        }
-                        *entry.arts = BuildProgramSimArtifacts(
-                            *specs[i].program, punits, c.arch, RoundsOf(c));
-                    } else {
-                        *entry.arts = BuildSimArtifacts(
-                            *c.code, *compile_cache.at(ck),
-                            noise_cache.at(nk).profile, c.arch, RoundsOf(c),
-                            specs[i]);
-                    }
-                    num_sim_builds.fetch_add(1, std::memory_order_relaxed);
-                    entry.ok = true;
-                    if (astore != nullptr) {
-                        astore->StoreSim(skey, *entry.arts);
-                    }
-                } catch (const std::exception& e) {
-                    entry.error = e.what();
-                }
-            });
-    }
-
-    // ---- Stage 3b: validate the simulation artifacts once per sim key
-    // any validating candidate references (circuit + DEM rules, plus the
-    // workload-aware unreferenced-record check). Candidates sharing a
-    // sim key share the code object and workload, so the exemplar's
-    // validation options are the key's options.
-    std::map<SimKey, std::string> sim_validation;
-    {
-        std::map<SimKey, size_t> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1 || !c.options.validate_artifacts) {
-                continue;
             }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
-            }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            if (sim_cache.at(sk).ok) {
-                sim_validation.try_emplace(sk);
-                exemplar.try_emplace(sk, i);
-            }
-        }
-        std::vector<std::pair<const SimKey*, std::string*>> tasks;
-        tasks.reserve(sim_validation.size());
-        for (auto& [key, error] : sim_validation) {
-            tasks.emplace_back(&key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const size_t i = exemplar.at(*tasks[t].first);
-                const SweepCandidate& c = candidates[i];
-                const SimEntry& entry = sim_cache.at(*tasks[t].first);
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::ValidateSimArtifacts(
-                        entry.arts->experiment, entry.arts->dem,
-                        analysis::SimValidationOptionsFor(*c.code,
-                                                          specs[i]));
-                num_validations.fetch_add(1, std::memory_order_relaxed);
-                if (!diags.empty()) {
-                    num_validation_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kSimSubject, diags);
-                }
-            });
-    }
-    const auto sim_invalidated = [&](const SweepCandidate& c,
-                                     const SimKey& sk) {
-        if (!c.options.validate_artifacts) {
-            return false;
-        }
-        const auto it = sim_validation.find(sk);
-        return it != sim_validation.end() && !it->second.empty();
+            return nullptr;
+        });
     };
-
-    // ---- Stage 3c: certify the effective fault distance once per sim
-    // key any certifying candidate references. A sub-distance (or
-    // uncertifiable) result isolates the candidate exactly like a
-    // compile error.
-    std::map<SimKey, std::string> sim_certification;
-    {
-        std::map<SimKey, size_t> exemplar;
-        for (size_t i = 0; i < n; ++i) {
-            const SweepCandidate& c = candidates[i];
-            if (!invalid[i].empty() || c.options.compile_only ||
-                c.compile_rounds != 1 || !c.options.certify_distance) {
-                continue;
-            }
-            if (unit_compile_error(i) != nullptr ||
-                unit_validation_error(i) != nullptr ||
-                unit_noise_error(i) != nullptr) {
-                continue;
-            }
-            const SimKey sk =
-                SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-            if (sim_cache.at(sk).ok && !sim_invalidated(c, sk)) {
-                sim_certification.try_emplace(sk);
-                exemplar.try_emplace(sk, i);
-            }
-        }
-        std::vector<std::pair<const SimKey*, std::string*>> tasks;
-        tasks.reserve(sim_certification.size());
-        for (auto& [key, error] : sim_certification) {
-            tasks.emplace_back(&key, &error);
-        }
-        ParallelForIndex(
-            threads, static_cast<std::int64_t>(tasks.size()),
-            [&](std::int64_t t) {
-                const SweepCandidate& c =
-                    candidates[exemplar.at(*tasks[t].first)];
-                const SimEntry& entry = sim_cache.at(*tasks[t].first);
-                const std::vector<analysis::Diagnostic> diags =
-                    analysis::CheckDistance(entry.arts->dem,
-                                            c.code->distance());
-                num_certifies.fetch_add(1, std::memory_order_relaxed);
-                if (!diags.empty()) {
-                    num_certify_failures.fetch_add(
-                        1, std::memory_order_relaxed);
-                    *tasks[t].second = analysis::FormatDiagnostics(
-                        analysis::kCertifySubject, diags);
-                }
-            });
-    }
-    const auto certify_failed = [&](const SweepCandidate& c,
-                                    const SimKey& sk) {
-        if (!c.options.certify_distance) {
-            return false;
-        }
-        const auto it = sim_certification.find(sk);
-        return it != sim_certification.end() && !it->second.empty();
-    };
+    check_sim(
+        &EvaluationOptions::validate_artifacts,
+        [](const SweepCandidate& c, const SimArtifacts& arts) {
+            return analysis::ValidateSimArtifacts(
+                arts.experiment, arts.dem,
+                analysis::SimValidationOptionsFor(*c.code,
+                                                  c.options.workload));
+        },
+        analysis::kSimSubject, num_validations, num_validation_failures);
+    check_sim(
+        &EvaluationOptions::certify_distance,
+        [](const SweepCandidate& c, const SimArtifacts& arts) {
+            return analysis::CheckDistance(arts.dem, c.code->distance());
+        },
+        analysis::kCertifySubject, num_certifies, num_certify_failures);
 
     // ---- Stage 4: every candidate's Monte-Carlo shards on the shared
     // pool through the one driver, sim::RunLerShards. Each run's shard
@@ -634,25 +578,13 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     // bit-identical to a one-candidate run at every pool width, and a
     // decode failure isolates only its candidate.
     std::vector<std::unique_ptr<sim::LerShardRun>> runs(n);
-    std::vector<std::string> run_errors(n);
     std::vector<sim::LerShardRun*> active;
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
-        if (!invalid[i].empty() || c.options.compile_only ||
-            c.compile_rounds != 1 || c.options.max_shots <= 0) {
+        if (!simulates(i) || c.options.max_shots <= 0) {
             continue;
         }
-        if (unit_compile_error(i) != nullptr ||
-            unit_validation_error(i) != nullptr ||
-            unit_noise_error(i) != nullptr) {
-            continue;
-        }
-        const SimKey sk = SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-        const SimEntry& sim_entry = sim_cache.at(sk);
-        if (!sim_entry.ok || sim_invalidated(c, sk) ||
-            certify_failed(c, sk)) {
-            continue;
-        }
+        const SimArtifacts& arts = *sim.at(keys[i].sim).arts;
         sim::ParallelSamplerOptions sopts;
         sopts.seed = c.options.seed;
         sopts.shard_shots = c.options.shard_shots;
@@ -660,100 +592,74 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         sopts.correlated = c.options.correlated;
         try {
             runs[i] = std::make_unique<sim::LerShardRun>(
-                sim_entry.arts->experiment, sim_entry.arts->dem, sopts,
-                c.options.max_shots, c.options.target_logical_errors);
+                arts.experiment, arts.dem, sopts, c.options.max_shots,
+                c.options.target_logical_errors);
             active.push_back(runs[i].get());
         } catch (const std::exception& e) {
-            run_errors[i] = e.what();
+            failed[i] = {FailedAt::kSimUse, e.what()};
         }
     }
     sim::RunLerShards(threads, active);
+    for (size_t i = 0; i < n; ++i) {
+        if (runs[i] && runs[i]->failure()) {
+            failed[i] = {FailedAt::kSimUse, ErrorText(runs[i]->failure())};
+        }
+    }
 
-    // ---- Assemble outcomes in candidate order.
-    auto failed_stub = [](const std::string& error) {
-        auto stub = std::make_shared<CompileArtifacts>();
-        stub->error = error;
-        return stub;
-    };
+    // ---- Assemble outcomes in candidate order. The reported compile
+    // artifacts are the candidate's *primary* unit's.
     for (size_t i = 0; i < n; ++i) {
         const SweepCandidate& c = candidates[i];
+        const Failure& failure = failed[i];
         SweepOutcome& out = outcomes[i];
         out.label = c.label;
         Metrics& metrics = out.metrics;
-        if (!invalid[i].empty()) {
-            metrics.error = invalid[i];
-            out.compile = failed_stub(invalid[i]);
+        metrics.error = failure.error;
+        if (failure.at == FailedAt::kInput) {
+            auto stub = std::make_shared<CompileArtifacts>();
+            stub->error = failure.error;
+            out.compile = std::move(stub);
             continue;
         }
-        // The candidate's reported compile artifacts are its *primary*
-        // unit's; failure texts follow unit order within a phase, and
-        // compile before validation before noise across phases.
-        const CompileKey pck = CompileKeyOf(c, units[i][primary[i]]);
-        out.compile = compile_cache.at(pck);
-        if (const std::string* err = unit_compile_error(i)) {
-            metrics.error = *err;
+        const CandidateKeys& k = keys[i];
+        const NoiseKey& primary_nk = k.unit_keys[k.primary];
+        out.compile = compile.at(compile_key(primary_nk)).arts;
+        if (failure.at == FailedAt::kCompile) {
             continue;
         }
-        if (const std::string* err = unit_validation_error(i)) {
-            metrics.error = *err;
+        FillCompileMetrics(*c.code, c.arch, *out.compile,
+                           c.compile_rounds == 1
+                               ? &noise.at(primary_nk).profile
+                               : nullptr,
+                           k.rounds, metrics);
+        if (failure.at == FailedAt::kSimBuild) {
             continue;
         }
-        const noise::RoundNoiseProfile* profile = nullptr;
-        if (c.compile_rounds == 1) {
-            if (const std::string* err = unit_noise_error(i)) {
-                metrics.error = *err;
-                continue;
-            }
-            profile = &noise_cache
-                           .at(NoiseKey{pck, c.arch.gate_improvement})
-                           .profile;
-        }
-        FillCompileMetrics(*c.code, c.arch, *out.compile, profile,
-                           RoundsOf(c), metrics);
         if (c.options.compile_only) {
             metrics.ok = true;
             continue;
         }
-        const SimKey sk = SimKeyOf(primary_nk_of(i), specs[i], RoundsOf(c));
-        const SimEntry& sim_entry = sim_cache.at(sk);
-        if (!sim_entry.ok) {
-            metrics.error = sim_entry.error;
-            continue;
-        }
-        out.sim = sim_entry.arts;
-        if (sim_invalidated(c, sk)) {
-            metrics.error = sim_validation.at(sk);
-            continue;
-        }
-        if (certify_failed(c, sk)) {
-            metrics.error = sim_certification.at(sk);
+        out.sim = sim.at(k.sim).arts;
+        if (failure.at == FailedAt::kSimUse) {
             continue;
         }
         // A non-positive budget samples nothing but still reports an
         // (empty) estimate; the sim artifacts are built, validated, and
         // reported on.
         sim::LogicalErrorEstimate run;
-        if (c.options.max_shots > 0) {
-            if (!runs[i]) {
-                metrics.error = run_errors[i];
-                continue;
-            }
-            if (runs[i]->failure()) {
-                metrics.error = ErrorText(runs[i]->failure());
-                continue;
-            }
+        if (runs[i]) {
             run = runs[i]->Finish();
         }
         const LerEstimate ler = FinishLerEstimate(
             run.shots, run.logical_errors, run.per_observable_errors,
-            run.shards, run.early_stopped, RoundsOf(c));
+            run.shards, run.early_stopped, k.rounds);
         metrics.shots = ler.shots;
         metrics.logical_errors = ler.logical_errors;
         metrics.ler_per_shot = ler.ler_per_shot;
         metrics.ler_per_round = ler.ler_per_round;
         metrics.per_observable_errors = ler.per_observable_errors;
         metrics.per_observable_ler = ler.per_observable_ler;
-        const sim::DetectorErrorModel& dem = sim_entry.arts->dem;
+        const sim::DetectorErrorModel& dem = out.sim->dem;
         metrics.dem_hyperedges = dem.num_hyperedges;
         metrics.dem_undecomposable = dem.num_undecomposable;
         metrics.dem_dropped_probability = dem.dropped_probability;
@@ -761,7 +667,6 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             dem.undecomposable_probability;
         metrics.ok = true;
     }
-
     last_run_stats_.compiles = num_compiles.load();
     last_run_stats_.annotates = num_annotates.load();
     last_run_stats_.sim_builds = num_sim_builds.load();

@@ -1,10 +1,6 @@
 #include "core/toolflow.h"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -22,35 +18,13 @@
 namespace tiqec::core {
 
 bool
-ParseValidateArtifactsEnv(const char* text, bool build_default)
-{
-    if (text == nullptr) {
-        return build_default;
-    }
-    int parsed = 0;
-    const char* end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, parsed);
-    if (ec != std::errc() || ptr != end) {
-        std::fprintf(stderr,
-                     "warning: TIQEC_VALIDATE=\"%s\" is not an integer; "
-                     "keeping the build default (%s)\n",
-                     text, build_default ? "on" : "off");
-        return build_default;
-    }
-    return parsed != 0;
-}
-
-bool
 DefaultValidateArtifacts()
 {
 #ifdef NDEBUG
-    constexpr bool kBuildDefault = false;
+    return false;
 #else
-    constexpr bool kBuildDefault = true;
+    return true;
 #endif
-    static const bool value = ParseValidateArtifactsEnv(
-        std::getenv("TIQEC_VALIDATE"), kBuildDefault);
-    return value;
 }
 
 std::string

@@ -30,19 +30,8 @@
 
 namespace tiqec::core {
 
-/**
- * Pure parser behind `DefaultValidateArtifacts`, exposed for tests:
- * `text` is the raw `TIQEC_VALIDATE` value (null when unset). A full
- * integer parse (`std::from_chars`, same discipline as `TIQEC_THREADS`)
- * forces validation on (non-zero) or off (zero); unset keeps the build
- * default, and garbage warns on stderr and keeps the build default.
- */
-bool ParseValidateArtifactsEnv(const char* text, bool build_default);
-
-/** Build-type default for `EvaluationOptions::validate_artifacts` — on
- *  in Debug, off in Release — overridable at runtime via the
- *  `TIQEC_VALIDATE` env var, so Release CI jobs and the sweep service
- *  can enable validation without a rebuild. Read once per process. */
+/** Build-type default for `EvaluationOptions::validate_artifacts`: on
+ *  in Debug, off in Release (requests opt in with `validate=1`). */
 bool DefaultValidateArtifacts();
 
 struct EvaluationOptions
@@ -80,8 +69,7 @@ struct EvaluationOptions
      *  over the compiled schedule and the simulation artifacts; a
      *  failing candidate reports the formatted diagnostics exactly like
      *  a compile error (so sweeps isolate it rather than abort). On by
-     *  default in debug builds; opt-in for release builds via the
-     *  `TIQEC_VALIDATE` env var (see `DefaultValidateArtifacts`). */
+     *  default in debug builds only (see `DefaultValidateArtifacts`). */
     bool validate_artifacts = DefaultValidateArtifacts();
     /** Statically certify the effective fault distance of the extracted
      *  DEM against the candidate code's distance

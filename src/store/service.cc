@@ -1,12 +1,8 @@
 #include "store/service.h"
 
-#include <cstdint>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/json.h"
-#include "common/text_format.h"
 #include "core/request.h"
 
 namespace tiqec::store {
@@ -58,57 +54,27 @@ RunSweepService(const std::string& request_text,
 {
     SweepServiceResult result;
 
-    // Parse the batch. A malformed line becomes a placeholder result
-    // (ok=false + the parse error) and never reaches the engine.
-    struct Request
-    {
-        std::string line;
-        std::string parse_error;  // empty = parsed
-        size_t candidate_index = 0;
-    };
-    std::vector<Request> requests;
-    std::vector<core::SweepCandidate> candidates;
-    std::istringstream stream(request_text);
-    std::string line;
-    while (std::getline(stream, line)) {
-        text::StripCr(line);
-        const size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#') {
-            continue;
-        }
-        Request req;
-        req.line = line;
-        core::SweepCandidate candidate;
-        if (core::ParseRequestCandidate(line, &candidate,
-                                        &req.parse_error)) {
-            req.candidate_index = candidates.size();
-            candidates.push_back(std::move(candidate));
-        }
-        requests.push_back(std::move(req));
-    }
-    result.num_requests = static_cast<int>(requests.size());
+    // A malformed line becomes its parse-error result line and never
+    // reaches the engine.
+    core::RequestBatch batch = core::ParseRequestBatch(request_text);
+    result.num_requests = static_cast<int>(batch.lines.size());
 
     core::SweepRunnerOptions ropts;
     ropts.num_threads = options.num_threads;
     ropts.store = options.store;
     core::SweepRunner runner(ropts);
     const std::vector<core::SweepOutcome> outcomes =
-        runner.RunDetailed(candidates);
+        runner.RunDetailed(batch.candidates);
     result.stats = runner.last_run_stats();
 
-    result.result_lines.reserve(requests.size());
-    for (const Request& req : requests) {
-        if (!req.parse_error.empty()) {
-            result.result_lines.push_back(
-                core::ParseErrorRecord(req.line, req.parse_error));
-            continue;
-        }
-        const core::SweepOutcome& outcome =
-            outcomes[req.candidate_index];
-        if (outcome.metrics.ok) {
+    result.result_lines = std::move(batch.parse_errors);
+    for (size_t j = 0; j < outcomes.size(); ++j) {
+        if (outcomes[j].metrics.ok) {
             ++result.num_ok;
         }
-        result.result_lines.push_back(ResultLine(req.line, outcome));
+        const size_t line = batch.candidate_lines[j];
+        result.result_lines[line] =
+            ResultLine(batch.lines[line], outcomes[j]);
     }
 
     common::JsonRecord summary;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "qec/surgery.h"
-#include "workloads/memory.h"
 #include "workloads/surgery.h"
 
 namespace tiqec::workloads {
@@ -40,27 +39,6 @@ ParseWorkloadKind(const std::string& name)
         "\" (expected memory, stability, surgery, or program)");
 }
 
-std::unique_ptr<Experiment>
-MakeExperiment(const qec::StabilizerCode& code, const WorkloadSpec& spec)
-{
-    if (spec.kind == WorkloadKind::kMemory) {
-        return std::make_unique<MemoryExperiment>(code, spec.basis);
-    }
-    if (spec.kind == WorkloadKind::kProgram) {
-        throw std::invalid_argument(
-            "program workload has no single-code experiment; build it "
-            "via workloads::BoundProgram (core::BuildProgramSimArtifacts)");
-    }
-    const auto* merged = dynamic_cast<const qec::MergedPatchCode*>(&code);
-    if (merged == nullptr) {
-        throw std::invalid_argument(
-            WorkloadKindName(spec.kind) + " workload requires a "
-            "qec::MergedPatchCode (got code \"" + code.name() + "\")");
-    }
-    return std::make_unique<SurgeryExperiment>(
-        *merged, spec.kind == WorkloadKind::kSurgery);
-}
-
 sim::NoisyCircuit
 BuildExperiment(const qec::StabilizerCode& code,
                 const circuit::Circuit& round_circuit,
@@ -68,8 +46,26 @@ BuildExperiment(const qec::StabilizerCode& code,
                 const noise::NoiseParams& params, int rounds,
                 const WorkloadSpec& spec)
 {
-    return MakeExperiment(code, spec)->Build(round_circuit, profile,
-                                             params, rounds);
+    switch (spec.kind) {
+      case WorkloadKind::kMemory:
+        return sim::BuildMemory(code, round_circuit, profile, params,
+                                rounds, spec.basis);
+      case WorkloadKind::kProgram:
+        throw std::invalid_argument(
+            "program workload has no single-code experiment; build it "
+            "via workloads::BoundProgram (core::BuildProgramSimArtifacts)");
+      case WorkloadKind::kSurgery:
+      case WorkloadKind::kStability:
+        break;
+    }
+    const auto* merged = dynamic_cast<const qec::MergedPatchCode*>(&code);
+    if (merged == nullptr) {
+        throw std::invalid_argument(
+            WorkloadKindName(spec.kind) + " workload requires a "
+            "qec::MergedPatchCode (got code \"" + code.name() + "\")");
+    }
+    return BuildSurgery(*merged, round_circuit, profile, params, rounds,
+                        spec.kind == WorkloadKind::kSurgery);
 }
 
 }  // namespace tiqec::workloads

@@ -3,13 +3,14 @@
  * Tests for the logical-program IR and its two-phase pipeline
  * (DESIGN.md §5.4): canonical-text round-trip byte-stability, the
  * pinned instruction-identity of the `single_merge` program against
- * the PR-5 surgery workload, pool-width bit-identity for a CNOT
+ * the surgery and stability workloads, pool-width bit-identity for a CNOT
  * program sweep, finite joint-parity error rates with a passing
  * distance certificate at d=3 and d=5, and the serial-vs-sweep
  * byte-identical failure-text contract for broken program specs.
  */
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "qec/code.h"
 #include "qec/surgery.h"
 #include "sim/circuit_io.h"
+#include "sim/dem_io.h"
 #include "workloads/experiment.h"
 #include "workloads/program.h"
 
@@ -47,61 +49,82 @@ TEST(ProgramIrTest, BoundProgramExposesItsCanonicalText)
               FormatProgram(CanonicalProgram("single_merge")));
 }
 
-/** Builds the stitched noisy circuit of a canonical program through
- *  the reference (store-less) pipeline. */
-core::SimArtifacts
-BuildProgramArtifacts(const std::string& name, int distance, int rounds)
+/** A bound program with every phase compiled and annotated once
+ *  through the store-less stage API, ready to stitch at any rounds. */
+struct CompiledProgram
 {
-    const auto bound =
-        BoundProgram::Bind(CanonicalProgram(name), distance);
-    const core::ArchitectureConfig arch;
-    const auto& codes = bound->phase_codes();
+    std::shared_ptr<const BoundProgram> bound;
+    core::ArchitectureConfig arch;
     std::vector<core::CompileArtifacts> arts;
     std::vector<noise::RoundNoiseProfile> profiles;
-    std::vector<core::ProgramUnit> units;
-    for (const auto& code : codes) {
-        arts.push_back(core::CompileCandidate(*code, arch));
-        EXPECT_TRUE(arts.back().ok) << arts.back().error;
+
+    CompiledProgram(LogicalProgram program, int distance)
+        : bound(BoundProgram::Bind(std::move(program), distance))
+    {
+        for (const auto& code : bound->phase_codes()) {
+            arts.push_back(core::CompileCandidate(*code, arch));
+            EXPECT_TRUE(arts.back().ok) << arts.back().error;
+            profiles.push_back(
+                core::AnnotateCandidate(*code, arch, arts.back()));
+        }
     }
-    for (size_t i = 0; i < codes.size(); ++i) {
-        profiles.push_back(
-            core::AnnotateCandidate(*codes[i], arch, arts[i]));
+
+    core::SimArtifacts Build(int rounds) const
+    {
+        std::vector<core::ProgramUnit> units;
+        for (size_t i = 0; i < arts.size(); ++i) {
+            units.push_back(
+                {bound->phase_codes()[i].get(), &arts[i], &profiles[i]});
+        }
+        return core::BuildProgramSimArtifacts(*bound, units, arch, rounds);
     }
-    for (size_t i = 0; i < codes.size(); ++i) {
-        units.push_back({codes[i].get(), &arts[i], &profiles[i]});
-    }
-    return core::BuildProgramSimArtifacts(*bound, units, arch, rounds);
-}
+};
 
 /**
- * The acceptance pin: `single_merge` at d=3 is instruction-identical
- * to the PR-5 surgery workload on the merged double patch. The
- * two-patch fabric with one XX merge IS the merged strip, so the
- * stitched program circuit and `SurgeryExperiment`'s circuit must
- * agree byte-for-byte in their canonical text form (instructions,
- * detectors, and observables alike).
+ * The acceptance pin: `single_merge` is instruction-identical to the
+ * surgery workload on the merged double patch, and `single_merge`
+ * observing only its merge outcome is identical to the stability
+ * workload. The two-patch fabric with one XX merge IS the merged
+ * strip, so the stitched program circuit and `workloads::BuildSurgery`'s
+ * circuit must agree byte-for-byte in their canonical text form
+ * (instructions, detectors, and observables alike), and so must their
+ * DEMs, at every distance and merged-round count checked.
  */
 TEST(ProgramPipelineTest, SingleMergeInstructionIdenticalToSurgery)
 {
-    const int d = 3;
-    const core::SimArtifacts program_arts =
-        BuildProgramArtifacts("single_merge", d, d);
-
-    const auto merged = std::make_shared<qec::MergedPatchCode>(
-        d, qec::SurgeryParity::kXX);
+    LogicalProgram parity_only = CanonicalProgram("single_merge");
+    parity_only.observables.resize(1);
+    ASSERT_EQ(parity_only.observables.front().name, "joint");
     const core::ArchitectureConfig arch;
-    const core::CompileArtifacts arts =
-        core::CompileCandidate(*merged, arch);
-    ASSERT_TRUE(arts.ok) << arts.error;
-    const noise::RoundNoiseProfile profile =
-        core::AnnotateCandidate(*merged, arch, arts);
-    const WorkloadSpec spec(WorkloadKind::kSurgery,
-                            sim::MemoryBasis::kZ);
-    const core::SimArtifacts surgery_arts = core::BuildSimArtifacts(
-        *merged, arts, profile, arch, d, spec);
-
-    EXPECT_EQ(sim::FormatNoisyCircuit(program_arts.experiment),
-              sim::FormatNoisyCircuit(surgery_arts.experiment));
+    for (const int d : {3, 5, 7}) {
+        const CompiledProgram surgery_program(
+            CanonicalProgram("single_merge"), d);
+        const CompiledProgram stability_program(parity_only, d);
+        const qec::MergedPatchCode merged(d, qec::SurgeryParity::kXX);
+        const core::CompileArtifacts arts =
+            core::CompileCandidate(merged, arch);
+        ASSERT_TRUE(arts.ok) << arts.error;
+        const noise::RoundNoiseProfile profile =
+            core::AnnotateCandidate(merged, arch, arts);
+        for (const int rounds : {1, 2, d, 2 * d}) {
+            for (const auto& [program, kind] :
+                 {std::pair{&surgery_program, WorkloadKind::kSurgery},
+                  std::pair{&stability_program, WorkloadKind::kStability}}) {
+                SCOPED_TRACE("d=" + std::to_string(d) +
+                             " rounds=" + std::to_string(rounds) + " " +
+                             WorkloadKindName(kind));
+                const core::SimArtifacts program_arts =
+                    program->Build(rounds);
+                const core::SimArtifacts workload_arts =
+                    core::BuildSimArtifacts(merged, arts, profile, arch,
+                                            rounds, WorkloadSpec(kind));
+                EXPECT_EQ(sim::FormatNoisyCircuit(program_arts.experiment),
+                          sim::FormatNoisyCircuit(workload_arts.experiment));
+                EXPECT_EQ(sim::FormatDem(program_arts.dem),
+                          sim::FormatDem(workload_arts.dem));
+            }
+        }
+    }
 }
 
 core::SweepCandidate

@@ -202,6 +202,33 @@ TEST(FailureInjectionTest, CapacityBelowTwoRejectedBySynthesis)
     }
 }
 
+/** A trap capacity far beyond the ion count (up to INT_MAX) compiles
+ *  onto one trap. The router's chain arena and the cluster-count
+ *  ceiling divisions must not do `int` arithmetic on the raw capacity:
+ *  an overflow there crashes the whole batch. */
+TEST(FailureInjectionTest, HugeCapacityCompilesInsteadOfCrashing)
+{
+    std::string batch;
+    for (const char* capacity : {"1073741824", "2147483647"}) {
+        for (const char* shape :
+             {"", "topology=linear wiring=wise", "topology=switch"}) {
+            batch += std::string("family=rotated distance=3 shots=64 ") +
+                     "capacity=" + capacity + " " + shape + "\n";
+        }
+        batch += std::string("family=merged_zz distance=3 workload=surgery "
+                             "shots=0 validate=1 certify=1 capacity=") +
+                 capacity + "\n";
+    }
+    const store::SweepServiceResult result =
+        store::RunSweepService(batch, store::SweepServiceOptions{});
+    ASSERT_EQ(result.num_requests, 8);
+    for (const std::string& line : result.result_lines) {
+        EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+        EXPECT_NE(line.find("\"num_traps_used\":1,"), std::string::npos)
+            << line;
+    }
+}
+
 /** Non-physical parameters and negative budgets are request errors with
  *  pinned texts naming the key, and the error line keeps the label. */
 TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)

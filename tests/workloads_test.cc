@@ -23,6 +23,7 @@
 #include "sim/dem.h"
 #include "sim/memory_experiment.h"
 #include "workloads/experiment.h"
+#include "workloads/surgery.h"
 
 namespace tiqec::workloads {
 namespace {
@@ -208,7 +209,7 @@ TEST(MergedPatchCodeTest, FactorySpellsBothOrientations)
 }
 
 // ---------------------------------------------------------------------------
-// Experiment interface
+// Workload selection
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadSpecTest, KindNamesRoundTrip)
@@ -223,28 +224,38 @@ TEST(WorkloadSpecTest, KindNamesRoundTrip)
 
 TEST(WorkloadSpecTest, SurgeryRequiresAMergedPatchCode)
 {
+    // The code check comes before any use of the round, so an empty one
+    // will do for the rejected builds.
     const qec::RotatedSurfaceCode plain(3);
-    EXPECT_THROW(
-        MakeExperiment(plain, WorkloadSpec(WorkloadKind::kSurgery)),
-        std::invalid_argument);
-    EXPECT_THROW(
-        MakeExperiment(plain, WorkloadSpec(WorkloadKind::kStability)),
-        std::invalid_argument);
+    const noise::NoiseParams params;
+    for (const WorkloadKind kind :
+         {WorkloadKind::kSurgery, WorkloadKind::kStability,
+          WorkloadKind::kProgram}) {
+        EXPECT_THROW(BuildExperiment(plain, circuit::Circuit(), {}, params,
+                                     1, WorkloadSpec(kind)),
+                     std::invalid_argument)
+            << WorkloadKindName(kind);
+    }
     // Memory runs on anything, including the merged patch.
     const qec::MergedPatchCode merged(3, qec::SurgeryParity::kXX);
-    EXPECT_EQ(MakeExperiment(merged, {})->name(), "memory_z");
-    EXPECT_EQ(
-        MakeExperiment(merged, WorkloadSpec(WorkloadKind::kSurgery))->name(),
-        "surgery_xx");
-    EXPECT_EQ(
-        MakeExperiment(merged, WorkloadSpec(WorkloadKind::kStability))
-            ->num_observables(),
-        1);
+    core::ArchitectureConfig arch;
+    const auto arts = core::CompileCandidate(merged, arch);
+    ASSERT_TRUE(arts.ok) << arts.error;
+    const auto profile = core::AnnotateCandidate(merged, arch, arts);
+    const auto observables = [&](WorkloadKind kind) {
+        return BuildExperiment(merged, arts.compiled.qec_circuit, profile,
+                               core::NoiseParamsFor(arch), 3,
+                               WorkloadSpec(kind))
+            .num_observables();
+    };
+    EXPECT_EQ(observables(WorkloadKind::kMemory), 1);
+    EXPECT_EQ(observables(WorkloadKind::kSurgery), 3);
+    EXPECT_EQ(observables(WorkloadKind::kStability), 1);
 }
 
-/** The memory workload through the experiment interface must be
- *  instruction-for-instruction identical to the historical
- *  `sim::BuildMemory` path (the refactor's bit-identity contract). */
+/** The memory workload through `BuildExperiment` must be
+ *  instruction-for-instruction identical to a direct
+ *  `sim::BuildMemory` call. */
 TEST(MemoryInterfaceTest, InstructionStreamMatchesBuildMemory)
 {
     const qec::RotatedSurfaceCode code(3);
@@ -378,11 +389,10 @@ TEST(SurgeryExperimentTest, DetectorAndObservableLayout)
     const auto arts = core::CompileCandidate(code, arch);
     ASSERT_TRUE(arts.ok) << arts.error;
     const auto profile = core::AnnotateCandidate(code, arch, arts);
-    const auto experiment = MakeExperiment(
-        code, WorkloadSpec(WorkloadKind::kSurgery));
     const sim::NoisyCircuit circuit =
-        experiment->Build(arts.compiled.qec_circuit, profile,
-                          core::NoiseParamsFor(arch), d);
+        BuildSurgery(code, arts.compiled.qec_circuit, profile,
+                     core::NoiseParamsFor(arch), d,
+                     /*track_patch_logicals=*/true);
 
     // Count the joint-type checks to derive the expected detector
     // layout: round 0 anchors every parity-type check away from the

@@ -5,7 +5,7 @@
  * certification report out, JSON run summary on stdout.
  *
  *   tiqec_certify <request-file> <output-jsonl> \
- *       [--store DIR] [--reference] [--max-weight W]
+ *       [--store DIR] [--reference]
  *
  * By default every request's experiment + DEM comes from one
  * `core::SweepRunner` run over the whole batch — with `--store DIR`
@@ -26,7 +26,6 @@
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,7 +35,6 @@
 #include "analysis/distance_certifier.h"
 #include "common/atomic_file.h"
 #include "common/json.h"
-#include "common/text_format.h"
 #include "compiler/compiler.h"
 #include "core/pipeline.h"
 #include "core/request.h"
@@ -53,7 +51,7 @@ Usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s <request-file> <output-jsonl> [--store DIR] "
-                 "[--reference] [--max-weight W]\n"
+                 "[--reference]\n"
                  "  <output-jsonl> may be '-' for stdout\n",
                  argv0);
     return 2;
@@ -63,7 +61,6 @@ struct CertifyConfig
 {
     std::shared_ptr<const tiqec::store::ArtifactStore> store;
     bool reference = false;
-    tiqec::analysis::DistanceCertifierOptions certifier;
 };
 
 /** Simulated rounds of a request: `rounds=`, or the code distance. */
@@ -152,7 +149,7 @@ CertifyRequest(const std::string& line,
     const int expected = c.code->distance();
     analysis::DistanceCertificate cert;
     const std::vector<analysis::Diagnostic> diags = analysis::CheckDistance(
-        sim->dem, expected, config.certifier, &cert);
+        sim->dem, expected, {}, &cert);
     r.Add("ok", true);
     r.Add("expected_distance", expected);
     r.Add("rounds", RoundsOf(c));
@@ -209,16 +206,6 @@ main(int argc, char** argv)
             store_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--reference") == 0) {
             config.reference = true;
-        } else if (std::strcmp(argv[i], "--max-weight") == 0 &&
-                   i + 1 < argc) {
-            try {
-                config.certifier.max_search_weight =
-                    tiqec::text::ParseInt32(argv[i + 1], "--max-weight");
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                return Usage(argv[0]);
-            }
-            ++i;
         } else if (request_path.empty()) {
             request_path = argv[i];
         } else if (output_path.empty()) {
@@ -242,46 +229,26 @@ main(int argc, char** argv)
             std::make_shared<tiqec::store::ArtifactStore>(store_dir);
     }
 
-    // Parse every line; a malformed one gets its report now and never
-    // reaches the pipeline.
-    std::vector<std::string> lines;
-    std::vector<std::string> reports;
-    std::vector<tiqec::core::SweepCandidate> candidates;
-    std::vector<size_t> slots;
-    std::istringstream stream(request_text);
-    std::string line;
-    while (std::getline(stream, line)) {
-        tiqec::text::StripCr(line);
-        const size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#') {
-            continue;
-        }
-        tiqec::core::SweepCandidate candidate;
-        std::string parse_error;
-        if (tiqec::core::ParseRequestCandidate(line, &candidate,
-                                               &parse_error)) {
-            // Certification needs exactly the experiment + DEM: one
-            // compiled round, no Monte-Carlo shots, and the certifier
-            // runs here with this tool's options, not in the runner.
-            candidate.compile_rounds = 1;
-            candidate.options.compile_only = false;
-            candidate.options.max_shots = 0;
-            candidate.options.certify_distance = false;
-            candidates.push_back(std::move(candidate));
-            slots.push_back(lines.size());
-            reports.emplace_back();
-        } else {
-            reports.push_back(
-                tiqec::core::ParseErrorRecord(line, parse_error));
-        }
-        lines.push_back(line);
+    // A malformed line gets its report now and never reaches the
+    // pipeline. Certification needs exactly the experiment + DEM: one
+    // compiled round, no Monte-Carlo shots, and the certifier runs here,
+    // not in the runner.
+    tiqec::core::RequestBatch batch =
+        tiqec::core::ParseRequestBatch(request_text);
+    std::vector<tiqec::core::SweepCandidate>& candidates = batch.candidates;
+    for (tiqec::core::SweepCandidate& candidate : candidates) {
+        candidate.compile_rounds = 1;
+        candidate.options.compile_only = false;
+        candidate.options.max_shots = 0;
+        candidate.options.certify_distance = false;
     }
+    std::vector<std::string>& reports = batch.parse_errors;
 
     int num_certified = 0;
     const auto certify = [&](size_t j, const tiqec::core::SimArtifacts* sim,
                              const std::string& build_error) {
-        const size_t slot = slots[j];
-        if (CertifyRequest(lines[slot], candidates[j], config, sim,
+        const size_t slot = batch.candidate_lines[j];
+        if (CertifyRequest(batch.lines[slot], candidates[j], config, sim,
                            build_error, &reports[slot])) {
             ++num_certified;
         }
@@ -325,7 +292,7 @@ main(int argc, char** argv)
         return 2;
     }
 
-    const int num_requests = static_cast<int>(lines.size());
+    const int num_requests = static_cast<int>(batch.lines.size());
     tiqec::common::JsonRecord summary;
     summary.Add("summary", true);
     summary.Add("requests", num_requests);
