@@ -22,6 +22,12 @@ constexpr int kUnbounded = std::numeric_limits<int>::max();
 /** Cap on the exhaustive meet-in-the-middle witness weight: the
  *  half-split argument covers weight 4. */
 constexpr int kMaxSearchWeight = 4;
+/** Cap on the meet-in-the-middle fallback's size: its right index holds
+ *  one entry per detector-sharing mechanism pair and its left half
+ *  probes every mechanism pair. The untagged d=5 surgery DEM has ~8.2M
+ *  left pairs; a linear-device d=5 memory DEM has ~370M, whose index
+ *  does not fit in memory. Past the cap the observable stays open. */
+constexpr std::int64_t kMaxMitmPairs = std::int64_t{1} << 24;
 
 /** Flattens the DEM into its mechanism list: every elementary edge, then
  *  one entry per hyperedge mechanism group (variants of one mechanism
@@ -403,6 +409,24 @@ struct Bucket
     std::vector<RightHalf> halves;
 };
 
+/** Whether the fallback's right-index pairs (sum of C(deg, 2) over
+ *  detectors) and left-pair probes (n(n-1)/2) both fit the cap. */
+bool
+MitmFits(const std::vector<DemMechanism>& mechanisms, int num_detectors)
+{
+    const auto n = static_cast<std::int64_t>(mechanisms.size());
+    std::vector<std::int64_t> degree(
+        static_cast<size_t>(std::max(num_detectors, 0)));
+    std::int64_t right = 0;
+    for (const DemMechanism& m : mechanisms) {
+        for (const int d : m.dets) {
+            // The k-th mechanism on a detector pairs with k-1 before it.
+            right += degree[static_cast<size_t>(d)]++;
+        }
+    }
+    return n * (n - 1) / 2 <= kMaxMitmPairs && right <= kMaxMitmPairs;
+}
+
 class MeetInTheMiddle
 {
   public:
@@ -660,12 +684,12 @@ CertifyDistance(const DetectorErrorModel& dem)
     };
 
     // The fallback can only help an open observable whose bound leaves
-    // room for a witness it can reach.
+    // room for a witness it can reach, and runs only within its size cap.
     bool run_mitm = false;
     for (size_t o = 0; o < lower.size(); ++o) {
         run_mitm |= !closed(o) && lower[o] <= kMaxSearchWeight;
     }
-    if (run_mitm) {
+    if (run_mitm && MitmFits(mechanisms, dem.num_detectors)) {
         const MeetInTheMiddle mitm(mechanisms, dem.num_detectors,
                                    kMaxSearchWeight);
         certificate.mitm_pairs = mitm.Search(accumulator);

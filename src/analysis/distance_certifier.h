@@ -31,7 +31,8 @@
  *     meets the lower bound. The observable is exact when lower bound
  *     and witness weight meet.
  *  3. Meet-in-the-middle fallback, run only while some observable is
- *     still open below the search cap. All mechanisms (correlated
+ *     still open below the search cap and the index fits a size cap
+ *     (otherwise the observable stays open). All mechanisms (correlated
  *     hyperedge groups included) are searched exhaustively for
  *     witnesses up to the cap: right halves (single mechanisms and
  *     detector-sharing pairs) are indexed by a 64-bit Zobrist syndrome
@@ -118,8 +119,9 @@ struct DistanceCertificate
 
 /** Certifies the per-observable effective distance of `dem`. The
  *  exhaustive meet-in-the-middle witness search is capped at weight 4
- *  (the half-split argument covers weight 4); the projection bound and
- *  the graphlike search are never capped. */
+ *  (the half-split argument covers weight 4) and skipped when its
+ *  mechanism pairs exceed a size cap; the projection bound and the
+ *  graphlike search are never capped. */
 DistanceCertificate CertifyDistance(const sim::DetectorErrorModel& dem);
 
 /** Has no fields: the certifier takes no options. It survives only as

@@ -157,6 +157,10 @@ ParseRequestLine(const std::string& line, RequestSpec* out,
             } else if (key == "compile_rounds") {
                 spec.compile_rounds =
                     text::ParseInt32(value, "compile_rounds");
+                if (spec.compile_rounds < 1) {
+                    throw std::invalid_argument(
+                        "compile_rounds must be >= 1, got '" + value + "'");
+                }
             } else if (key == "shots") {
                 spec.options.max_shots = ParseBudget(value, key);
             } else if (key == "target_errors") {

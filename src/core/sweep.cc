@@ -1,13 +1,14 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,53 +22,19 @@ namespace tiqec::core {
 
 namespace {
 
-/** Everything the compile stage depends on. The unit code and device
- *  enter by object identity: two (candidate, unit) pairs share a
- *  compile iff they share the unit-code object (and any device
- *  override). For a program candidate the units are the program's
- *  phase codes (`UnitCodesFor`); everything else has one unit, the
- *  candidate's own code. */
-using CompileKey = std::tuple<const void*, const void*, int /*topology*/,
-                              int /*capacity*/, int /*wiring*/,
-                              int /*compile_rounds*/>;
-/** + the noise scenario (the profile depends on the improvement factor
- *  and, through the compile key's wiring, on WISE cooling). */
-using NoiseKey = std::tuple<CompileKey, double /*gate_improvement*/>;
-/** + the experiment shape. The workload joins `rounds` and `basis` in
- *  the key (not the compile/noise keys): a memory, a stability, and a
- *  surgery candidate on the same merged code and device share the
- *  compiled schedule and noise profile and differ only here. The
- *  leading NoiseKey is the candidate's *primary* unit; the trailing
- *  pointer is the bound program's identity (null for every other
- *  workload), so two candidates share a stitched program circuit iff
- *  they share the program object. */
-using SimKey = std::tuple<NoiseKey, int /*rounds*/, int /*basis*/,
-                          int /*workload*/, const void* /*program*/>;
-
-SimKey
-SimKeyOf(const NoiseKey& primary_nk, const workloads::WorkloadSpec& spec,
-         int rounds)
-{
-    // Only the memory workload reads the basis; normalising it out of
-    // the key for surgery/stability/program keeps basis-varying
-    // candidate lists sharing one experiment/DEM entry.
-    const int basis = spec.kind == workloads::WorkloadKind::kMemory
-                          ? static_cast<int>(spec.basis)
-                          : 0;
-    return {primary_nk, rounds, basis, static_cast<int>(spec.kind),
-            static_cast<const void*>(spec.program.get())};
-}
-
-/** A candidate's stage keys, computed once: one noise key per unit (in
- *  `UnitCodesFor` order; its leading element is the unit's compile
- *  key) and the sim key of its primary unit. */
+/** A candidate's stage keys, computed once: per unit (in
+ *  `UnitCodesFor` order) its compile and noise keys, and the sim key of
+ *  its primary unit. They are the store's content keys
+ *  (store/keys.h), so candidates share an entry exactly when the
+ *  content the stage reads is equal, whether or not they share objects. */
 struct CandidateKeys
 {
     std::vector<const qec::StabilizerCode*> units;
-    std::vector<NoiseKey> unit_keys;
+    std::vector<store::StoreKey> compile;
+    std::vector<store::StoreKey> noise;
     size_t primary = 0;
     int rounds = 0;
-    SimKey sim;
+    store::StoreKey sim;
 };
 
 struct CompileEntry
@@ -75,9 +42,6 @@ struct CompileEntry
     /** Shared with every outcome that reads this entry. */
     std::shared_ptr<CompileArtifacts> arts =
         std::make_shared<CompileArtifacts>();
-    /** Content-addressed store key (set only with a store attached);
-     *  the noise and sim store keys chain off it. */
-    store::StoreKey store_key;
 };
 
 struct NoiseEntry
@@ -85,7 +49,6 @@ struct NoiseEntry
     bool ok = false;
     std::string error;
     noise::RoundNoiseProfile profile;
-    store::StoreKey store_key;
 };
 
 struct SimEntry
@@ -96,9 +59,10 @@ struct SimEntry
     std::shared_ptr<SimArtifacts> arts = std::make_shared<SimArtifacts>();
 };
 
-/** The first (candidate, unit) that asked for a key, in candidate
- *  order. A stage body reads its inputs off this exemplar, so which
- *  worker runs a key never changes what it computes. */
+/** The first (candidate, unit) that asked for a key. A stage body
+ *  reads its inputs off this exemplar; every asker of a key has equal
+ *  content, so neither the asking order nor the worker that runs a key
+ *  changes what it computes. */
 struct Exemplar
 {
     size_t candidate = 0;
@@ -108,30 +72,26 @@ struct Exemplar
 /**
  * One stage's keyed cache. `Want` collects the distinct keys the live
  * candidates ask for; `Run` computes each entry once on the pool,
- * workers claiming keys in key order off an atomic counter.
+ * workers claiming keys in the order they were first asked for off an
+ * atomic counter. The index holds views of the canonical strings,
+ * which the run's `CandidateKeys` own and never modify once built.
  */
-template <typename Key, typename Entry>
+template <typename Entry>
 class KeyedStage
 {
   public:
-    void Want(const Key& key, size_t candidate, size_t unit = 0)
+    void Want(const store::StoreKey& key, size_t candidate, size_t unit)
     {
-        const auto [it, inserted] = slots_.try_emplace(key);
-        if (inserted) {
-            it->second.exemplar = Exemplar{candidate, unit};
+        if (index_.try_emplace(key.canonical, slots_.size()).second) {
+            slots_.push_back({Exemplar{candidate, unit}, Entry{}});
         }
     }
 
-    /** Calls `body(key, exemplar, entry)` once per wanted key. */
+    /** Calls `body(exemplar, entry)` once per wanted key. */
     template <typename Body>
     void Run(int num_threads, const Body& body)
     {
-        std::vector<std::pair<const Key, Slot>*> tasks;
-        tasks.reserve(slots_.size());
-        for (auto& slot : slots_) {
-            tasks.push_back(&slot);
-        }
-        const auto n = static_cast<std::int64_t>(tasks.size());
+        const auto n = static_cast<std::int64_t>(slots_.size());
         std::atomic<std::int64_t> next{0};
         RunWorkers(num_threads, n, [&]() {
             for (;;) {
@@ -140,13 +100,15 @@ class KeyedStage
                 if (t >= n) {
                     return;
                 }
-                body(tasks[t]->first, tasks[t]->second.exemplar,
-                     tasks[t]->second.entry);
+                body(slots_[t].exemplar, slots_[t].entry);
             }
         });
     }
 
-    const Entry& at(const Key& key) const { return slots_.at(key).entry; }
+    const Entry& at(const store::StoreKey& key) const
+    {
+        return slots_[index_.at(key.canonical)].entry;
+    }
 
   private:
     struct Slot
@@ -154,7 +116,8 @@ class KeyedStage
         Exemplar exemplar;
         Entry entry;
     };
-    std::map<Key, Slot> slots_;
+    std::map<std::string_view, size_t> index_;
+    std::vector<Slot> slots_;
 };
 
 /** How far a candidate got before its first failure. The outcome
@@ -247,9 +210,9 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
 
     // Every candidate holds one first-failure slot. Malformed ones fail
     // here; each stage below runs for the candidates still live, and
-    // `gate` then records the first error a live candidate meets, so
-    // failure precedence is stage order (and unit order within a
-    // stage) whatever order the pool ran the keys in.
+    // then records the first error a live candidate meets, so failure
+    // precedence is stage order (and unit order within a stage)
+    // whatever order the pool ran the keys in.
     std::vector<Failure> failed(n);
     std::vector<CandidateKeys> keys(n);
     for (size_t i = 0; i < n; ++i) {
@@ -262,20 +225,17 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         CandidateKeys& k = keys[i];
         k.units = UnitCodesFor(*c.code, spec);
         for (const qec::StabilizerCode* unit : k.units) {
-            const CompileKey ck{static_cast<const void*>(unit),
-                                static_cast<const void*>(c.device.get()),
-                                static_cast<int>(c.arch.topology),
-                                c.arch.trap_capacity,
-                                static_cast<int>(c.arch.wiring),
-                                c.compile_rounds};
-            k.unit_keys.emplace_back(ck, c.arch.gate_improvement);
+            k.compile.push_back(store::CompileStoreKey(
+                *unit, c.arch, c.compile_rounds, c.device.get()));
+            k.noise.push_back(store::NoiseStoreKey(k.compile.back(),
+                                                   c.arch.gate_improvement));
         }
         if (spec.program != nullptr) {
             k.primary = static_cast<size_t>(spec.program->primary_index());
         }
         k.rounds = c.options.rounds > 0 ? c.options.rounds
                                         : c.code->distance();
-        k.sim = SimKeyOf(k.unit_keys[k.primary], spec, k.rounds);
+        k.sim = store::SimStoreKey(k.noise[k.primary], k.rounds, spec);
     }
     const auto live = [&](size_t i) {
         return failed[i].at == FailedAt::kNowhere;
@@ -283,278 +243,247 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     const auto simulates = [&](size_t i) {
         return live(i) && !candidates[i].options.compile_only;
     };
-    const auto gate = [&](FailedAt at, const auto& error_of) {
+    // Candidates ask for keys largest first (qubits x rounds), so the
+    // pool claims the longest compiles and DEM builds before the short
+    // ones instead of letting them trail the batch.
+    std::vector<size_t> by_size;
+    for (size_t i = 0; i < n; ++i) {
+        if (live(i)) {
+            by_size.push_back(i);
+        }
+    }
+    const auto size_of = [&](size_t i) {
+        return std::int64_t{candidates[i].code->num_qubits()} * keys[i].rounds;
+    };
+    std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+        return size_of(a) > size_of(b);
+    });
+
+    using Keys = std::span<const store::StoreKey>;
+    // Every stage runs the same way: each live candidate `wants` picks
+    // asks for its keys (`keys_of`: one per unit, or its one sim key),
+    // each distinct key is computed once, and the candidate then fails
+    // at `at` with the first of its entries that `error_of` flags.
+    const auto run_stage = [&](auto& stage, FailedAt at, const auto& keys_of,
+                               const auto& wants, const auto& body,
+                               const auto& error_of) {
+        for (const size_t i : by_size) {
+            if (wants(i)) {
+                const Keys ks = keys_of(i);
+                for (size_t u = 0; u < ks.size(); ++u) {
+                    stage.Want(ks[u], i, u);
+                }
+            }
+        }
+        stage.Run(threads, body);
         for (size_t i = 0; i < n; ++i) {
-            if (live(i)) {
-                if (const std::string* error = error_of(i)) {
-                    failed[i] = {at, *error};
+            if (wants(i)) {
+                for (const store::StoreKey& key : keys_of(i)) {
+                    if (const std::string* error = error_of(stage.at(key))) {
+                        failed[i] = {at, *error};
+                        break;
+                    }
                 }
             }
         }
     };
-    const auto compile_key = [](const NoiseKey& nk) -> const CompileKey& {
-        return std::get<0>(nk);
+    const auto compile_keys = [&](size_t i) { return Keys(keys[i].compile); };
+    const auto noise_keys = [&](size_t i) { return Keys(keys[i].noise); };
+    const auto sim_key = [&](size_t i) { return Keys(&keys[i].sim, 1); };
+    const auto error_text = [](const std::string& error) {
+        return error.empty() ? nullptr : &error;
+    };
+    const auto entry_error = [](const auto& entry) {
+        return entry.ok ? nullptr : &entry.error;
     };
 
     // ---- Stage 1: compile once per unique key. With a store attached,
-    // each unique compile probes the store first: a hit skips the
-    // compiler entirely, a corrupt artifact isolates the candidate with
-    // the store's diagnostic (exactly like a compile error), and a miss
-    // compiles and persists the successful bundle.
-    KeyedStage<CompileKey, CompileEntry> compile;
-    for (size_t i = 0; i < n; ++i) {
-        if (live(i)) {
-            for (size_t u = 0; u < keys[i].units.size(); ++u) {
-                compile.Want(compile_key(keys[i].unit_keys[u]), i, u);
+    // each unique compile probes the store under its key first: a hit
+    // skips the compiler entirely, a corrupt artifact isolates the
+    // candidate with the store's diagnostic (exactly like a compile
+    // error), and a miss compiles and persists the successful bundle.
+    KeyedStage<CompileEntry> compile;
+    run_stage(
+        compile, FailedAt::kCompile, compile_keys, live,
+        [&](const Exemplar& ex, CompileEntry& entry) {
+            const SweepCandidate& c = candidates[ex.candidate];
+            const CandidateKeys& k = keys[ex.candidate];
+            const qec::StabilizerCode& unit = *k.units[ex.unit];
+            CompileArtifacts& arts = *entry.arts;
+            if (astore != nullptr) {
+                std::string err;
+                const store::LoadStatus status = astore->LoadCompile(
+                    k.compile[ex.unit], unit, c.arch, c.compile_rounds,
+                    c.device.get(), &arts, &err);
+                if (status == store::LoadStatus::kHit) {
+                    return;
+                }
+                if (status == store::LoadStatus::kCorrupt) {
+                    arts = CompileArtifacts{};
+                    arts.error = err;
+                    return;
+                }
             }
-        }
-    }
-    compile.Run(threads, [&](const CompileKey&, const Exemplar& ex,
-                             CompileEntry& entry) {
-        const SweepCandidate& c = candidates[ex.candidate];
-        const qec::StabilizerCode& unit = *keys[ex.candidate].units[ex.unit];
-        CompileArtifacts& arts = *entry.arts;
-        if (astore != nullptr) {
-            entry.store_key = store::CompileStoreKey(
-                unit, c.arch, c.compile_rounds, c.device.get());
-            std::string err;
-            const store::LoadStatus status = astore->LoadCompile(
-                entry.store_key, unit, c.arch, c.compile_rounds,
-                c.device.get(), &arts, &err);
-            if (status == store::LoadStatus::kHit) {
-                return;
+            arts = CompileCandidate(unit, c.arch, c.compile_rounds,
+                                    c.device.get());
+            num_compiles.fetch_add(1, std::memory_order_relaxed);
+            if (astore != nullptr && arts.ok) {
+                astore->StoreCompile(k.compile[ex.unit], arts);
             }
-            if (status == store::LoadStatus::kCorrupt) {
-                arts = CompileArtifacts{};
-                arts.error = err;
-                return;
-            }
-        }
-        arts = CompileCandidate(unit, c.arch, c.compile_rounds,
-                                c.device.get());
-        num_compiles.fetch_add(1, std::memory_order_relaxed);
-        if (astore != nullptr && arts.ok) {
-            astore->StoreCompile(entry.store_key, arts);
-        }
-    });
-    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
-        for (const NoiseKey& nk : keys[i].unit_keys) {
-            const CompileArtifacts& arts = *compile.at(compile_key(nk)).arts;
-            if (!arts.ok) {
-                return &arts.error;
-            }
-        }
-        return nullptr;
-    });
+        },
+        [](const CompileEntry& entry) {
+            return entry.arts->ok ? nullptr : &entry.arts->error;
+        });
 
     // ---- Stage 1b: artifact validation once per compile key that any
     // validating candidate references. A failure gates only candidates
     // with validate_artifacts set (the cached artifacts stay shared), and
     // its formatted diagnostics flow through failure isolation exactly
     // like a compile error.
-    KeyedStage<CompileKey, std::string> compile_check;
-    for (size_t i = 0; i < n; ++i) {
-        if (live(i) && candidates[i].options.validate_artifacts) {
-            for (size_t u = 0; u < keys[i].units.size(); ++u) {
-                compile_check.Want(compile_key(keys[i].unit_keys[u]), i, u);
+    KeyedStage<std::string> compile_check;
+    run_stage(
+        compile_check, FailedAt::kCompile, compile_keys,
+        [&](size_t i) {
+            return live(i) && candidates[i].options.validate_artifacts;
+        },
+        [&](const Exemplar& ex, std::string& error) {
+            const CompileArtifacts& arts =
+                *compile.at(keys[ex.candidate].compile[ex.unit]).arts;
+            const std::vector<analysis::Diagnostic> diags =
+                analysis::ValidateCompiledArtifacts(
+                    arts.compiled, arts.graph, arts.timing,
+                    candidates[ex.candidate].arch.wiring ==
+                        WiringKind::kWise);
+            num_validations.fetch_add(1, std::memory_order_relaxed);
+            if (!diags.empty()) {
+                num_validation_failures.fetch_add(1,
+                                                  std::memory_order_relaxed);
+                error = analysis::FormatDiagnostics(
+                    analysis::kCompiledSubject, diags);
             }
-        }
-    }
-    compile_check.Run(threads, [&](const CompileKey& ck, const Exemplar& ex,
-                                   std::string& error) {
-        const CompileArtifacts& arts = *compile.at(ck).arts;
-        const std::vector<analysis::Diagnostic> diags =
-            analysis::ValidateCompiledArtifacts(
-                arts.compiled, arts.graph, arts.timing,
-                candidates[ex.candidate].arch.wiring == WiringKind::kWise);
-        num_validations.fetch_add(1, std::memory_order_relaxed);
-        if (!diags.empty()) {
-            num_validation_failures.fetch_add(1, std::memory_order_relaxed);
-            error = analysis::FormatDiagnostics(analysis::kCompiledSubject,
-                                                diags);
-        }
-    });
-    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
-        if (candidates[i].options.validate_artifacts) {
-            for (const NoiseKey& nk : keys[i].unit_keys) {
-                const std::string& error = compile_check.at(compile_key(nk));
-                if (!error.empty()) {
-                    return &error;
-                }
-            }
-        }
-        return nullptr;
-    });
+        },
+        error_text);
 
     // ---- Stage 2: annotate once per unique noise scenario (per unit).
     // Multi-round compile-only candidates have no noise profile.
-    const auto annotated = [&](size_t i) {
-        return live(i) && candidates[i].compile_rounds == 1;
-    };
-    KeyedStage<NoiseKey, NoiseEntry> noise;
-    for (size_t i = 0; i < n; ++i) {
-        if (annotated(i)) {
-            for (size_t u = 0; u < keys[i].units.size(); ++u) {
-                noise.Want(keys[i].unit_keys[u], i, u);
-            }
-        }
-    }
-    noise.Run(threads, [&](const NoiseKey& nk, const Exemplar& ex,
-                           NoiseEntry& entry) {
-        const SweepCandidate& c = candidates[ex.candidate];
-        const qec::StabilizerCode& unit = *keys[ex.candidate].units[ex.unit];
-        const CompileEntry& comp = compile.at(compile_key(nk));
-        if (astore != nullptr) {
-            entry.store_key = store::NoiseStoreKey(comp.store_key,
-                                                   c.arch.gate_improvement);
-            std::string err;
-            const store::LoadStatus status = astore->LoadNoise(
-                entry.store_key, comp.arts->compiled.qec_circuit.size(),
-                unit.num_qubits(), &entry.profile, &err);
-            if (status == store::LoadStatus::kHit) {
-                entry.ok = true;
-                return;
-            }
-            if (status == store::LoadStatus::kCorrupt) {
-                entry.error = err;
-                return;
-            }
-        }
-        try {
-            entry.profile = AnnotateCandidate(unit, c.arch, *comp.arts);
-            num_annotates.fetch_add(1, std::memory_order_relaxed);
-            entry.ok = true;
+    KeyedStage<NoiseEntry> noise;
+    run_stage(
+        noise, FailedAt::kCompile, noise_keys,
+        [&](size_t i) {
+            return live(i) && candidates[i].compile_rounds == 1;
+        },
+        [&](const Exemplar& ex, NoiseEntry& entry) {
+            const SweepCandidate& c = candidates[ex.candidate];
+            const CandidateKeys& k = keys[ex.candidate];
+            const qec::StabilizerCode& unit = *k.units[ex.unit];
+            const CompileArtifacts& arts = *compile.at(k.compile[ex.unit]).arts;
             if (astore != nullptr) {
-                astore->StoreNoise(entry.store_key, entry.profile);
-            }
-        } catch (const std::exception& e) {
-            entry.error = e.what();
-        }
-    });
-    gate(FailedAt::kCompile, [&](size_t i) -> const std::string* {
-        if (annotated(i)) {
-            for (const NoiseKey& nk : keys[i].unit_keys) {
-                const NoiseEntry& entry = noise.at(nk);
-                if (!entry.ok) {
-                    return &entry.error;
+                std::string err;
+                const store::LoadStatus status = astore->LoadNoise(
+                    k.noise[ex.unit], arts.compiled.qec_circuit.size(),
+                    unit.num_qubits(), &entry.profile, &err);
+                if (status == store::LoadStatus::kHit) {
+                    entry.ok = true;
+                    return;
+                }
+                if (status == store::LoadStatus::kCorrupt) {
+                    entry.error = err;
+                    return;
                 }
             }
-        }
-        return nullptr;
-    });
+            try {
+                entry.profile = AnnotateCandidate(unit, c.arch, arts);
+                num_annotates.fetch_add(1, std::memory_order_relaxed);
+                entry.ok = true;
+                if (astore != nullptr) {
+                    astore->StoreNoise(k.noise[ex.unit], entry.profile);
+                }
+            } catch (const std::exception& e) {
+                entry.error = e.what();
+            }
+        },
+        entry_error);
 
     // ---- Stage 3: experiment + DEM once per unique experiment shape.
     // The primary unit's noise key leads the sim key; a program
     // candidate additionally needs every phase unit's artifacts, which
     // the exemplar's candidate keys recover.
-    KeyedStage<SimKey, SimEntry> sim;
-    for (size_t i = 0; i < n; ++i) {
-        if (simulates(i)) {
-            sim.Want(keys[i].sim, i);
-        }
-    }
-    sim.Run(threads, [&](const SimKey& sk, const Exemplar& ex,
-                         SimEntry& entry) {
-        const SweepCandidate& c = candidates[ex.candidate];
-        const CandidateKeys& k = keys[ex.candidate];
-        const workloads::WorkloadSpec& spec = c.options.workload;
-        const NoiseKey& primary_nk = k.unit_keys[k.primary];
-        store::StoreKey skey;
-        if (astore != nullptr) {
-            // Rounds/basis/workload come off the (normalised) in-memory
-            // key so the store shares exactly what the in-memory cache
-            // shares; a program workload contributes its canonical text
-            // (content identity, where the in-memory key uses object
-            // identity).
-            skey = store::SimStoreKey(
-                noise.at(primary_nk).store_key, std::get<1>(sk),
-                std::get<2>(sk), std::get<3>(sk),
-                spec.program != nullptr ? spec.program->canonical_text()
-                                        : std::string());
-            std::string err;
-            const store::LoadStatus status =
-                astore->LoadSim(skey, entry.arts.get(), &err);
-            if (status == store::LoadStatus::kHit) {
-                entry.ok = true;
-                return;
-            }
-            if (status == store::LoadStatus::kCorrupt) {
-                entry.error = err;
-                return;
-            }
-        }
-        try {
-            if (spec.program != nullptr) {
-                std::vector<ProgramUnit> punits;
-                punits.reserve(k.units.size());
-                for (size_t u = 0; u < k.units.size(); ++u) {
-                    punits.push_back(ProgramUnit{
-                        k.units[u],
-                        compile.at(compile_key(k.unit_keys[u])).arts.get(),
-                        &noise.at(k.unit_keys[u]).profile});
-                }
-                *entry.arts = BuildProgramSimArtifacts(*spec.program, punits,
-                                                       c.arch, k.rounds);
-            } else {
-                *entry.arts = BuildSimArtifacts(
-                    *c.code, *compile.at(compile_key(primary_nk)).arts,
-                    noise.at(primary_nk).profile, c.arch, k.rounds, spec);
-            }
-            num_sim_builds.fetch_add(1, std::memory_order_relaxed);
-            entry.ok = true;
+    KeyedStage<SimEntry> sim;
+    run_stage(
+        sim, FailedAt::kSimBuild, sim_key, simulates,
+        [&](const Exemplar& ex, SimEntry& entry) {
+            const SweepCandidate& c = candidates[ex.candidate];
+            const CandidateKeys& k = keys[ex.candidate];
+            const workloads::WorkloadSpec& spec = c.options.workload;
             if (astore != nullptr) {
-                astore->StoreSim(skey, *entry.arts);
+                std::string err;
+                const store::LoadStatus status =
+                    astore->LoadSim(k.sim, entry.arts.get(), &err);
+                if (status == store::LoadStatus::kHit) {
+                    entry.ok = true;
+                    return;
+                }
+                if (status == store::LoadStatus::kCorrupt) {
+                    entry.error = err;
+                    return;
+                }
             }
-        } catch (const std::exception& e) {
-            entry.error = e.what();
-        }
-    });
-    gate(FailedAt::kSimBuild, [&](size_t i) -> const std::string* {
-        if (simulates(i)) {
-            const SimEntry& entry = sim.at(keys[i].sim);
-            if (!entry.ok) {
-                return &entry.error;
+            try {
+                if (spec.program != nullptr) {
+                    std::vector<ProgramUnit> punits;
+                    punits.reserve(k.units.size());
+                    for (size_t u = 0; u < k.units.size(); ++u) {
+                        punits.push_back(ProgramUnit{
+                            k.units[u], compile.at(k.compile[u]).arts.get(),
+                            &noise.at(k.noise[u]).profile});
+                    }
+                    *entry.arts = BuildProgramSimArtifacts(
+                        *spec.program, punits, c.arch, k.rounds);
+                } else {
+                    *entry.arts = BuildSimArtifacts(
+                        *c.code, *compile.at(k.compile[k.primary]).arts,
+                        noise.at(k.noise[k.primary]).profile, c.arch,
+                        k.rounds, spec);
+                }
+                num_sim_builds.fetch_add(1, std::memory_order_relaxed);
+                entry.ok = true;
+                if (astore != nullptr) {
+                    astore->StoreSim(k.sim, *entry.arts);
+                }
+            } catch (const std::exception& e) {
+                entry.error = e.what();
             }
-        }
-        return nullptr;
-    });
+        },
+        entry_error);
 
     // ---- Stages 3b and 3c: validate the simulation artifacts (circuit
     // + DEM rules, plus the workload-aware unreferenced-record check),
     // then certify the effective fault distance, each once per sim key
     // any opted-in candidate references. Candidates sharing a sim key
-    // share the code object and workload, so the exemplar's options are
+    // share the code content and workload, so the exemplar's options are
     // the key's options. A failure isolates the candidate exactly like
     // a compile error.
     const auto check_sim = [&](bool EvaluationOptions::*opt_in,
                                const auto& check, std::string_view subject,
                                std::atomic<std::int64_t>& runs,
                                std::atomic<std::int64_t>& failures) {
-        KeyedStage<SimKey, std::string> stage;
-        for (size_t i = 0; i < n; ++i) {
-            if (simulates(i) && candidates[i].options.*opt_in) {
-                stage.Want(keys[i].sim, i);
-            }
-        }
-        stage.Run(threads, [&](const SimKey& sk, const Exemplar& ex,
-                               std::string& error) {
-            const std::vector<analysis::Diagnostic> diags =
-                check(candidates[ex.candidate], *sim.at(sk).arts);
-            runs.fetch_add(1, std::memory_order_relaxed);
-            if (!diags.empty()) {
-                failures.fetch_add(1, std::memory_order_relaxed);
-                error = analysis::FormatDiagnostics(subject, diags);
-            }
-        });
-        gate(FailedAt::kSimUse, [&](size_t i) -> const std::string* {
-            if (simulates(i) && candidates[i].options.*opt_in) {
-                const std::string& error = stage.at(keys[i].sim);
-                if (!error.empty()) {
-                    return &error;
+        KeyedStage<std::string> stage;
+        run_stage(
+            stage, FailedAt::kSimUse, sim_key,
+            [&](size_t i) {
+                return simulates(i) && candidates[i].options.*opt_in;
+            },
+            [&](const Exemplar& ex, std::string& error) {
+                const std::vector<analysis::Diagnostic> diags =
+                    check(candidates[ex.candidate],
+                          *sim.at(keys[ex.candidate].sim).arts);
+                runs.fetch_add(1, std::memory_order_relaxed);
+                if (!diags.empty()) {
+                    failures.fetch_add(1, std::memory_order_relaxed);
+                    error = analysis::FormatDiagnostics(subject, diags);
                 }
-            }
-            return nullptr;
-        });
+            },
+            error_text);
     };
     check_sim(
         &EvaluationOptions::validate_artifacts,
@@ -622,14 +551,13 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
             continue;
         }
         const CandidateKeys& k = keys[i];
-        const NoiseKey& primary_nk = k.unit_keys[k.primary];
-        out.compile = compile.at(compile_key(primary_nk)).arts;
+        out.compile = compile.at(k.compile[k.primary]).arts;
         if (failure.at == FailedAt::kCompile) {
             continue;
         }
         FillCompileMetrics(*c.code, c.arch, *out.compile,
                            c.compile_rounds == 1
-                               ? &noise.at(primary_nk).profile
+                               ? &noise.at(k.noise[k.primary]).profile
                                : nullptr,
                            k.rounds, metrics);
         if (failure.at == FailedAt::kSimBuild) {

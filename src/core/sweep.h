@@ -8,9 +8,10 @@
  * is a one-candidate run, the sweep service and `tiqec_certify` batch
  * their request lines into one run. The runner has
  *
- *  - a keyed artifact cache so the compiled schedule, the noise
- *    profile, and the DEM/decoder-graph are built once per unique
- *    candidate (seed/budget-only variations share everything), and
+ *  - an artifact cache keyed by content (the store's keys,
+ *    store/keys.h) so the compiled schedule, the noise profile, and the
+ *    DEM are built once per unique candidate content (seed/budget-only
+ *    variations share everything), and
  *  - a single shared worker pool that runs compile/annotate/build-sim
  *    stages and then interleaves the Monte-Carlo shards of all
  *    candidates (`sim::RunLerShards`), instead of nesting a thread pool
@@ -52,8 +53,9 @@ namespace tiqec::core {
 /** One point of a design-space sweep. */
 struct SweepCandidate
 {
-    /** The QEC code under evaluation. Candidates sharing one code
-     *  object share every cached artifact the rest of the key allows. */
+    /** The QEC code under evaluation. Candidates whose codes have equal
+     *  content (`store::CodeFingerprint`) share every cached artifact
+     *  the rest of the key allows, whether or not they share the object. */
     std::shared_ptr<const qec::StabilizerCode> code;
     ArchitectureConfig arch;
     EvaluationOptions options;

@@ -4,6 +4,8 @@
 #include <charconv>
 
 #include "common/text_format.h"
+#include "qec/surgery.h"
+#include "workloads/program.h"
 
 // Generated into the build tree by cmake/GenerateSourceFingerprint.cmake
 // (a hash over every file in src/). Editor and lint compiles that never
@@ -109,6 +111,13 @@ CodeFingerprint(const qec::StabilizerCode& code)
         fp += std::to_string(q.value);
         fp += ',';
     }
+    const auto* merged = dynamic_cast<const qec::MergedPatchCode*>(&code);
+    if (merged != nullptr) {
+        fp += ";merged=";
+        fp += qec::SurgeryParityName(merged->parity());
+        fp += ",patch_d=";
+        fp += std::to_string(merged->patch_distance());
+    }
     return fp;
 }
 
@@ -197,6 +206,18 @@ SimStoreKey(const StoreKey& noise_key, int rounds, int basis, int workload,
         key.canonical += "}";
     }
     return key;
+}
+
+StoreKey
+SimStoreKey(const StoreKey& noise_key, int rounds,
+            const workloads::WorkloadSpec& spec)
+{
+    const bool memory = spec.kind == workloads::WorkloadKind::kMemory;
+    return SimStoreKey(noise_key, rounds,
+                       memory ? static_cast<int>(spec.basis) : 0,
+                       static_cast<int>(spec.kind),
+                       spec.program != nullptr ? spec.program->canonical_text()
+                                               : std::string());
 }
 
 }  // namespace tiqec::store

@@ -1,13 +1,13 @@
 /**
  * @file
- * Content-addressed keys for the on-disk artifact store (DESIGN.md §7).
- *
- * The in-memory sweep cache keys artifacts by object identity (two
- * candidates share a compile iff they share the code *pointer*), which
- * cannot persist. The store instead derives a canonical key *string*
- * from the content the stage is a pure function of — the full code
- * definition, the device graph (or the synthesis parameters), the
- * architecture knobs, and a toolchain fingerprint (compiler banner +
+ * Content-addressed artifact keys (DESIGN.md §7.1): the one cache
+ * identity of the stage chain. The sweep runner's in-memory cache and
+ * the on-disk artifact store both key every compile bundle, noise
+ * profile and experiment + DEM by these canonical strings, so two
+ * candidates share an artifact exactly when the content the stage is a
+ * pure function of is equal: the full code definition, the device
+ * graph (or the synthesis parameters), the architecture knobs, the
+ * experiment shape, and a toolchain fingerprint (compiler banner +
  * build type + source tree hash) so artifacts built by a different
  * binary never alias.
  *
@@ -26,6 +26,7 @@
 #include "core/architecture.h"
 #include "qccd/topology.h"
 #include "qec/code.h"
+#include "workloads/experiment.h"
 
 namespace tiqec::store {
 
@@ -54,7 +55,9 @@ std::string ToolchainFingerprint();
 
 /** Canonical content description of a code: name, distance, every qubit
  *  (role + layout coordinate), every check (ancilla, type, dance order),
- *  and the logical operator supports. */
+ *  the logical operator supports, and for a `qec::MergedPatchCode` its
+ *  parity and patch distance (a merged patch has the same geometry as
+ *  a plain rectangle but hosts the surgery workloads). */
 std::string CodeFingerprint(const qec::StabilizerCode& code);
 
 /** Canonical content description of a device graph: topology, capacity,
@@ -62,10 +65,9 @@ std::string CodeFingerprint(const qec::StabilizerCode& code);
 std::string DeviceFingerprint(const qccd::DeviceGraph& graph);
 
 /**
- * Compile-stage key. Mirrors the sweep runner's in-memory CompileKey:
- * code + device override (or the (topology, capacity) synthesis inputs)
- * + wiring + compile_rounds, by content instead of identity.
- * `device` may be null (device synthesised via `MakeDeviceFor`).
+ * Compile-stage key: code + device override (or the (topology,
+ * capacity) synthesis inputs) + wiring + compile_rounds. `device` may
+ * be null (device synthesised via `MakeDeviceFor`).
  */
 StoreKey CompileStoreKey(const qec::StabilizerCode& code,
                          const core::ArchitectureConfig& arch,
@@ -75,14 +77,20 @@ StoreKey CompileStoreKey(const qec::StabilizerCode& code,
 /** Noise-stage key: compile key + gate-improvement scenario. */
 StoreKey NoiseStoreKey(const StoreKey& compile_key, double gate_improvement);
 
-/** Sim-stage key: noise key + experiment shape (rounds, basis as
- *  normalised by the sweep runner, workload). A program workload
- *  additionally passes the program's canonical text
- *  (`workloads::BoundProgram::canonical_text()`), appended as
- *  `|program={...}`; the default empty string keeps every non-program
- *  key byte-identical to the historical format. */
+/** Sim-stage key: noise key + experiment shape (rounds, basis,
+ *  workload). A program workload additionally passes the program's
+ *  canonical text (`workloads::BoundProgram::canonical_text()`),
+ *  appended as `|program={...}`; the default empty string keeps every
+ *  non-program key byte-identical to the historical format. */
 StoreKey SimStoreKey(const StoreKey& noise_key, int rounds, int basis,
                      int workload, const std::string& program_canonical = "");
+
+/** The sim-stage key of a candidate running `spec`: only the memory
+ *  workload reads the basis, so every other workload keys basis 0 and
+ *  basis-varying candidates share one experiment + DEM; a program
+ *  contributes its canonical text. */
+StoreKey SimStoreKey(const StoreKey& noise_key, int rounds,
+                     const workloads::WorkloadSpec& spec);
 
 }  // namespace tiqec::store
 

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/distance_certifier.h"
 #include "common/rng.h"
 #include "compiler/compiler.h"
 #include "core/request.h"
+#include "core/sweep.h"
 #include "core/toolflow.h"
 #include "decoder/union_find_decoder.h"
 #include "noise/annotator.h"
@@ -229,6 +231,31 @@ TEST(FailureInjectionTest, HugeCapacityCompilesInsteadOfCrashing)
     }
 }
 
+/** A linear-device d=5 memory DEM (~27k mechanisms, ~370M mechanism
+ *  pairs) is past the certifier's meet-in-the-middle size cap: the
+ *  fallback is skipped and the request fails cleanly on the
+ *  `dem.distance` rule instead of exhausting memory. */
+TEST(FailureInjectionTest, OversizedCertifyFallbackFailsCleanly)
+{
+    core::SweepCandidate candidate;
+    std::string error;
+    ASSERT_TRUE(core::ParseRequestCandidate(
+        "family=rotated distance=5 topology=linear capacity=2 shots=0 "
+        "certify=1",
+        &candidate, &error))
+        << error;
+    core::SweepRunner runner(core::SweepRunnerOptions{});
+    const std::vector<core::SweepOutcome> outcomes =
+        runner.RunDetailed({candidate});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].metrics.ok);
+    EXPECT_NE(outcomes[0].metrics.error.find("dem.distance"),
+              std::string::npos)
+        << outcomes[0].metrics.error;
+    ASSERT_NE(outcomes[0].sim, nullptr);
+    EXPECT_EQ(analysis::CertifyDistance(outcomes[0].sim->dem).mitm_pairs, 0);
+}
+
 /** Non-physical parameters and negative budgets are request errors with
  *  pinned texts naming the key, and the error line keeps the label. */
 TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
@@ -247,6 +274,8 @@ TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
         {"rounds=0", "rounds must be >= 1, got '0'"},
         {"rounds=-1", "rounds must be >= 1, got '-1'"},
         {"rounds=-2", "rounds must be >= 1, got '-2'"},
+        {"compile_rounds=0", "compile_rounds must be >= 1, got '0'"},
+        {"compile_rounds=-3", "compile_rounds must be >= 1, got '-3'"},
     };
     for (const auto& [token, text] : cases) {
         SCOPED_TRACE(token);
@@ -266,8 +295,9 @@ TEST(RequestDomainTest, NonPhysicalValuesRejectedWithPinnedText)
                       text + "\"}");
     }
     // The boundaries stay valid: zero budgets, any positive factor.
-    for (const std::string token :
-         {"shots=0", "target_errors=0", "improvement=0.5", "rounds=1"}) {
+    for (const std::string token : {"shots=0", "target_errors=0",
+                                    "improvement=0.5", "rounds=1",
+                                    "compile_rounds=1"}) {
         core::SweepCandidate candidate;
         std::string error;
         EXPECT_TRUE(core::ParseRequestCandidate(

@@ -24,6 +24,7 @@
 #include "core/sweep.h"
 #include "noise/profile_io.h"
 #include "qec/code.h"
+#include "qec/surgery.h"
 #include "sim/circuit_io.h"
 #include "sim/dem_io.h"
 #include "store/artifact_store.h"
@@ -271,8 +272,8 @@ TEST(StoreKeysTest, ContentAddressingIgnoresObjectIdentity)
         store::CompileStoreKey(*a, arch, 1, nullptr);
     const store::StoreKey kb =
         store::CompileStoreKey(*b, arch, 1, nullptr);
-    // Distinct objects, identical content: the store shares what the
-    // pointer-keyed in-memory cache cannot.
+    // Distinct objects, identical content: one key, so the sweep cache
+    // and the store share one artifact.
     EXPECT_EQ(ka.canonical, kb.canonical);
     EXPECT_EQ(ka.FileName(), kb.FileName());
 }
@@ -309,6 +310,28 @@ TEST(StoreKeysTest, EveryInputPerturbsTheKey)
               store::SimStoreKey(n1, 3, 1, 0).canonical);
     EXPECT_NE(store::SimStoreKey(n1, 3, 0, 0).canonical,
               store::SimStoreKey(n1, 3, 0, 1).canonical);
+}
+
+TEST(StoreKeysTest, SpecKeyReadsTheBasisOnlyForMemory)
+{
+    const auto code = qec::MakeCode("rotated", 3);
+    const store::StoreKey nk = store::NoiseStoreKey(
+        store::CompileStoreKey(*code, core::ArchitectureConfig{}, 1, nullptr),
+        1.0);
+    using workloads::WorkloadKind;
+    const auto key = [&](WorkloadKind kind, sim::MemoryBasis basis) {
+        return store::SimStoreKey(nk, 3, workloads::WorkloadSpec(kind, basis))
+            .canonical;
+    };
+    EXPECT_NE(key(WorkloadKind::kMemory, sim::MemoryBasis::kX),
+              key(WorkloadKind::kMemory, sim::MemoryBasis::kZ));
+    EXPECT_EQ(key(WorkloadKind::kSurgery, sim::MemoryBasis::kX),
+              key(WorkloadKind::kSurgery, sim::MemoryBasis::kZ));
+    EXPECT_EQ(key(WorkloadKind::kMemory, sim::MemoryBasis::kX),
+              store::SimStoreKey(nk, 3,
+                                 static_cast<int>(sim::MemoryBasis::kX),
+                                 static_cast<int>(WorkloadKind::kMemory))
+                  .canonical);
 }
 
 TEST(StoreKeysTest, FileNameIsSixteenHexPlusArt)
@@ -473,9 +496,8 @@ TEST(ArtifactStoreTest, KeyStringMismatchDegradesToMiss)
 std::vector<core::SweepCandidate>
 WarmStoreCandidates()
 {
-    // Fresh code objects every call: nothing the in-memory
-    // pointer-keyed cache could share across runs — any warm-run work
-    // skipped is the store's doing.
+    // A fresh runner every run: the in-memory cache dies with it, so
+    // any warm-run work skipped is the store's doing.
     std::vector<core::SweepCandidate> candidates;
     core::SweepCandidate c;
     c.code = qec::MakeCode("rotated", 3);
@@ -663,6 +685,132 @@ TEST(SweepStoreTest, TamperedScheduleFailsValidatorsOnLoad)
               std::string::npos)
         << outcomes[0].metrics.error;
     EXPECT_EQ(warm.last_run_stats().store_corrupt, 1);
+}
+
+/** A surgery candidate on the merged patch, or on the plain rectangle
+ *  with the same geometry, with no shots. */
+core::SweepCandidate
+SurgeryCandidate(bool merged)
+{
+    core::SweepCandidate c;
+    if (merged) {
+        c.code = std::make_shared<qec::MergedPatchCode>(
+            3, qec::SurgeryParity::kXX);
+    } else {
+        c.code = std::make_shared<qec::RectangularSurfaceCode>(7, 3);
+    }
+    c.options.workload = workloads::WorkloadSpec(
+        workloads::WorkloadKind::kSurgery);
+    c.options.max_shots = 0;
+    c.label = merged ? "merged" : "plain";
+    return c;
+}
+
+void
+ExpectPlainSurgeryRejected(const core::SweepOutcome& outcome)
+{
+    EXPECT_FALSE(outcome.metrics.ok);
+    EXPECT_NE(outcome.metrics.error.find(
+                  "surgery workload requires a qec::MergedPatchCode"),
+              std::string::npos)
+        << outcome.metrics.error;
+}
+
+TEST(SweepStoreTest, MergedPatchNeverAliasesItsPlainRectangle)
+{
+    // Same name, qubits, checks and logicals: only the merged-patch
+    // fields tell the two codes apart.
+    const core::SweepCandidate merged = SurgeryCandidate(true);
+    const core::SweepCandidate plain = SurgeryCandidate(false);
+    EXPECT_NE(store::CompileStoreKey(*merged.code, merged.arch, 1, nullptr)
+                  .canonical,
+              store::CompileStoreKey(*plain.code, plain.arch, 1, nullptr)
+                  .canonical);
+
+    // Without a store, and with a store the merged candidate warmed.
+    ExpectPlainSurgeryRejected(
+        core::SweepRunner(core::SweepRunnerOptions{}).RunDetailed({plain})[0]);
+    core::SweepRunnerOptions opts;
+    opts.store = std::make_shared<store::ArtifactStore>(
+        FreshDir("store_merged_alias"));
+    EXPECT_TRUE(
+        core::SweepRunner(opts).RunDetailed({merged})[0].metrics.ok);
+    ExpectPlainSurgeryRejected(core::SweepRunner(opts).RunDetailed({plain})[0]);
+
+    // One batch holding both, in either order, at every pool width.
+    for (const int threads : {1, 2, 8}) {
+        for (const bool merged_first : {true, false}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " merged_first=" + std::to_string(merged_first));
+            core::SweepRunnerOptions batch_opts;
+            batch_opts.num_threads = threads;
+            const std::vector<core::SweepOutcome> outcomes =
+                core::SweepRunner(batch_opts)
+                    .RunDetailed(merged_first
+                                     ? std::vector{merged, plain}
+                                     : std::vector{plain, merged});
+            ASSERT_EQ(outcomes.size(), 2u);
+            const size_t m = merged_first ? 0 : 1;
+            EXPECT_TRUE(outcomes[m].metrics.ok) << outcomes[m].metrics.error;
+            ExpectPlainSurgeryRejected(outcomes[1 - m]);
+        }
+    }
+}
+
+/** The examples/certify_requests.txt batch with no shots. Its 11 lines
+ *  hold 9 distinct codes (the stability and surgery lines on merged_zz
+ *  d=3 and d=5 share one) and 11 experiment shapes. */
+constexpr const char* kCertifyBatch =
+    "family=rotated distance=3 topology=grid capacity=2 workload=memory\n"
+    "family=rotated distance=5 topology=grid capacity=2 workload=memory\n"
+    "family=merged_zz distance=3 topology=grid capacity=2 "
+    "workload=stability\n"
+    "family=merged_zz distance=5 topology=grid capacity=2 "
+    "workload=stability\n"
+    "family=merged_zz distance=3 topology=grid capacity=2 workload=surgery\n"
+    "family=merged_zz distance=5 topology=grid capacity=2 workload=surgery\n"
+    "family=merged_xx distance=3 topology=grid capacity=2 workload=surgery\n"
+    "family=merged_xx distance=5 topology=grid capacity=2 workload=surgery\n"
+    "family=rotated distance=7 topology=grid capacity=2 workload=memory\n"
+    "family=merged_zz distance=7 topology=grid capacity=2 workload=surgery\n"
+    "family=merged_xx distance=7 topology=grid capacity=2 workload=surgery\n";
+
+TEST(SweepStoreTest, RunStatsAreAFunctionOfTheBatch)
+{
+    // Equal-content lines share one cache entry, so each key is
+    // computed and probed once: the counts cannot depend on which
+    // worker got there first.
+    std::vector<core::SweepCandidate> candidates =
+        core::ParseRequestBatch(kCertifyBatch).candidates;
+    ASSERT_EQ(candidates.size(), 11u);
+    for (core::SweepCandidate& c : candidates) {
+        c.options.max_shots = 0;
+    }
+    for (const int threads : {1, 2, 8}) {
+        for (const bool with_store : {false, true}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " store=" + std::to_string(with_store));
+            core::SweepRunnerOptions opts;
+            opts.num_threads = threads;
+            if (with_store) {
+                opts.store = std::make_shared<store::ArtifactStore>(
+                    FreshDir("store_counters"));
+            }
+            core::SweepRunner runner(opts);
+            for (const core::SweepOutcome& out :
+                 runner.RunDetailed(candidates)) {
+                EXPECT_TRUE(out.metrics.ok) << out.metrics.error;
+            }
+            const core::SweepRunStats& stats = runner.last_run_stats();
+            EXPECT_EQ(stats.compiles, 9);
+            EXPECT_EQ(stats.annotates, 9);
+            EXPECT_EQ(stats.sim_builds, 11);
+            EXPECT_EQ(stats.store_hits, 0);
+            EXPECT_EQ(stats.store_misses, with_store ? 29 : 0);
+            EXPECT_EQ(stats.store_writes, with_store ? 29 : 0);
+            EXPECT_EQ(stats.store_corrupt, 0);
+        }
+    }
 }
 
 // -------------------------------------------------------------- service
