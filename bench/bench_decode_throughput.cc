@@ -4,7 +4,10 @@
  * of the scalar per-shot decode (SyndromeOf + Decode, the reference
  * path) vs the word-parallel batch pipeline (non-trivial-shot mask +
  * transposed sparse syndrome extraction + DecodeBatch) on compiled
- * memory-Z experiments at d=3/5 across gate-improvement noise scales.
+ * memory-Z experiments at d=3/5 across gate-improvement noise scales on
+ * the capacity-2 grid, plus d=5 on the capacity-2 linear device, whose
+ * DEM has the most active correlated stage-2 entries of any memory
+ * experiment the sweeps decode.
  *
  * Unlike the figure benches this does not reproduce a paper artifact;
  * it pins the sampler's decode throughput so optimisations are measured
@@ -41,13 +44,13 @@ struct Workload
 };
 
 Workload
-MakeWorkload(int distance, double improvement, int shots)
+MakeWorkload(int distance, double improvement, int shots,
+             qccd::TopologyKind topology = qccd::TopologyKind::kGrid)
 {
     Workload w;
     const qec::RotatedSurfaceCode code(distance);
     const qccd::TimingModel timing;
-    const auto graph =
-        compiler::MakeDeviceFor(code, qccd::TopologyKind::kGrid, 2);
+    const auto graph = compiler::MakeDeviceFor(code, topology, 2);
     auto result =
         compiler::CompileParityCheckRounds(code, 1, graph, timing);
     noise::NoiseParams params;
@@ -352,13 +355,32 @@ ShotsPerSec(int shots, int reps, Body&& body)
     return best;
 }
 
+/** One measured point: a capacity-2 memory-Z experiment. */
+struct Config
+{
+    int distance;
+    double improvement;
+    qccd::TopologyKind topology;
+    const char* topology_name;
+    int shots;
+};
+
 void
 PrintThroughputTable()
 {
-    const int shots = 1 << 15;
     const int reps = 3;
+    std::vector<Config> configs;
+    for (const int d : {3, 5}) {
+        for (const double improvement : {1.0, 3.0, 10.0}) {
+            configs.push_back(
+                {d, improvement, qccd::TopologyKind::kGrid, "grid", 1 << 15});
+        }
+    }
+    // Decoding near 50% LER costs ~10-60 us/shot here, so fewer shots.
+    configs.push_back(
+        {5, 1.0, qccd::TopologyKind::kLinear, "linear", 1 << 13});
     std::vector<bench::JsonRecord> records;
-    std::printf("\n=== Decode throughput, %d shots/point ===\n", shots);
+    std::printf("\n=== Decode throughput, capacity 2 ===\n");
     std::printf("legacy = pre-pipeline per-shot decode (SyndromeOf + "
                 "per-call scratch)\n"
                 "scalar = DecodePath::kScalar, correlated stage off "
@@ -369,112 +391,118 @@ PrintThroughputTable()
                 "hyperedge stage (production default; fewer errors)\n"
                 "forest = peeling-forest nodes settled per decoded shot "
                 "(batch / corr)\n\n");
-    std::printf("%-4s %-6s %11s %13s %13s %13s %13s %9s %9s %13s\n",
-                "d", "gates", "nontrivial", "legacy(sh/s)",
-                "scalar(sh/s)", "batch(sh/s)", "corr(sh/s)", "vs legacy",
-                "corr cost", "forest");
-    tiqec::bench::Rule(114);
-    for (const int d : {3, 5}) {
-        for (const double improvement : {1.0, 3.0, 10.0}) {
-            const Workload w = MakeWorkload(d, improvement, shots);
-            decoder::UnionFindDecoder::Options plain_opts;
-            plain_opts.correlated = false;
-            LegacyScalarDecoder legacy_decoder(w.dem);
-            decoder::UnionFindDecoder scalar_decoder(w.dem, plain_opts);
-            decoder::UnionFindDecoder batch_decoder(w.dem, plain_opts);
-            decoder::UnionFindDecoder corr_decoder(w.dem);
-            std::vector<std::uint64_t> predictions;
-            std::vector<std::uint64_t> corr_predictions;
-            decoder::UnionFindDecoder::BatchOutcome batch_work;
-            decoder::UnionFindDecoder::BatchOutcome corr_work;
-            const std::int64_t legacy_errors =
-                LegacyErrors(legacy_decoder, w.batch);
-            const std::int64_t scalar_errors =
-                ScalarErrors(scalar_decoder, w.batch);
-            const std::int64_t batch_errors = BatchErrors(
-                batch_decoder, w.batch, predictions, &batch_work);
-            const std::int64_t corr_errors = BatchErrors(
-                corr_decoder, w.batch, corr_predictions, &corr_work);
-            const auto forest_per_shot =
-                [](const decoder::UnionFindDecoder::BatchOutcome& o) {
-                    return o.decoded_shots > 0
-                               ? static_cast<double>(o.forest_nodes) /
-                                     o.decoded_shots
-                               : 0.0;
-                };
-            if (scalar_errors != batch_errors ||
-                legacy_errors != batch_errors) {
-                std::printf("MISMATCH d=%d: legacy=%lld scalar=%lld "
-                            "batch=%lld\n",
-                            d, static_cast<long long>(legacy_errors),
-                            static_cast<long long>(scalar_errors),
-                            static_cast<long long>(batch_errors));
-            }
-            const double legacy_tput =
-                ShotsPerSec(shots, reps, [&]() {
-                    benchmark::DoNotOptimize(
-                        LegacyErrors(legacy_decoder, w.batch));
-                });
-            const double scalar_tput =
-                ShotsPerSec(shots, reps, [&]() {
-                    benchmark::DoNotOptimize(
-                        ScalarErrors(scalar_decoder, w.batch));
-                });
-            const double batch_tput = ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(
-                    BatchErrors(batch_decoder, w.batch, predictions));
-            });
-            const double corr_tput = ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(BatchErrors(
-                    corr_decoder, w.batch, corr_predictions));
-            });
-            const double frac =
-                static_cast<double>(w.batch.CountNonTrivialShots()) /
-                shots;
-            std::printf("%-4d %-6.0f %10.1f%% %13.0f %13.0f %13.0f "
-                        "%13.0f %8.2fx %8.2fx %6.1f/%-6.1f\n",
-                        d, improvement, 100.0 * frac, legacy_tput,
-                        scalar_tput, batch_tput, corr_tput,
-                        batch_tput / legacy_tput,
-                        batch_tput / corr_tput,
-                        forest_per_shot(batch_work),
-                        forest_per_shot(corr_work));
-            struct PathPoint
-            {
-                const char* path;
-                double tput;
-                std::int64_t errors;
-                bool correlated;
-                /** DecodeBatch work counters (batch paths only). */
-                const decoder::UnionFindDecoder::BatchOutcome* work;
+    std::printf("%-6s %-4s %-6s %7s %11s %13s %13s %13s %13s %9s %9s "
+                "%13s\n",
+                "device", "d", "gates", "shots", "nontrivial",
+                "legacy(sh/s)", "scalar(sh/s)", "batch(sh/s)", "corr(sh/s)",
+                "vs legacy", "corr cost", "forest");
+    tiqec::bench::Rule(129);
+    for (const Config& cfg : configs) {
+        const int d = cfg.distance;
+        const double improvement = cfg.improvement;
+        const int shots = cfg.shots;
+        const Workload w =
+            MakeWorkload(d, improvement, shots, cfg.topology);
+        decoder::UnionFindDecoder::Options plain_opts;
+        plain_opts.correlated = false;
+        LegacyScalarDecoder legacy_decoder(w.dem);
+        decoder::UnionFindDecoder scalar_decoder(w.dem, plain_opts);
+        decoder::UnionFindDecoder batch_decoder(w.dem, plain_opts);
+        decoder::UnionFindDecoder corr_decoder(w.dem);
+        std::vector<std::uint64_t> predictions;
+        std::vector<std::uint64_t> corr_predictions;
+        decoder::UnionFindDecoder::BatchOutcome batch_work;
+        decoder::UnionFindDecoder::BatchOutcome corr_work;
+        const std::int64_t legacy_errors =
+            LegacyErrors(legacy_decoder, w.batch);
+        const std::int64_t scalar_errors =
+            ScalarErrors(scalar_decoder, w.batch);
+        const std::int64_t batch_errors = BatchErrors(
+            batch_decoder, w.batch, predictions, &batch_work);
+        const std::int64_t corr_errors = BatchErrors(
+            corr_decoder, w.batch, corr_predictions, &corr_work);
+        const auto forest_per_shot =
+            [](const decoder::UnionFindDecoder::BatchOutcome& o) {
+                return o.decoded_shots > 0
+                           ? static_cast<double>(o.forest_nodes) /
+                                 o.decoded_shots
+                           : 0.0;
             };
-            for (const PathPoint& p :
-                 {PathPoint{"legacy", legacy_tput, legacy_errors, false,
-                            nullptr},
-                  {"scalar", scalar_tput, scalar_errors, false, nullptr},
-                  {"batch", batch_tput, batch_errors, false, &batch_work},
-                  {"batch_correlated", corr_tput, corr_errors, true,
-                   &corr_work}}) {
-                bench::JsonRecord r;
-                r.Add("workload", "memory_z");
-                r.Add("distance", d);
-                r.Add("gate_improvement", improvement);
-                r.Add("decode_path", p.path);
-                r.Add("correlated_decoder", p.correlated);
-                r.Add("shots", static_cast<std::int64_t>(shots));
-                r.Add("nontrivial_fraction", frac);
-                r.Add("metric", "shots_per_sec");
-                r.Add("value", p.tput);
-                r.Add("best_of", reps);
-                r.Add("errors", p.errors);
-                r.Add("errors_agree", legacy_errors == batch_errors &&
-                                          scalar_errors == batch_errors);
-                if (p.work != nullptr) {
-                    r.Add("forest_nodes_per_shot",
-                          forest_per_shot(*p.work));
-                }
-                records.push_back(std::move(r));
+        if (scalar_errors != batch_errors ||
+            legacy_errors != batch_errors) {
+            std::printf("MISMATCH d=%d: legacy=%lld scalar=%lld "
+                        "batch=%lld\n",
+                        d, static_cast<long long>(legacy_errors),
+                        static_cast<long long>(scalar_errors),
+                        static_cast<long long>(batch_errors));
+        }
+        const double legacy_tput =
+            ShotsPerSec(shots, reps, [&]() {
+                benchmark::DoNotOptimize(
+                    LegacyErrors(legacy_decoder, w.batch));
+            });
+        const double scalar_tput =
+            ShotsPerSec(shots, reps, [&]() {
+                benchmark::DoNotOptimize(
+                    ScalarErrors(scalar_decoder, w.batch));
+            });
+        const double batch_tput = ShotsPerSec(shots, reps, [&]() {
+            benchmark::DoNotOptimize(
+                BatchErrors(batch_decoder, w.batch, predictions));
+        });
+        const double corr_tput = ShotsPerSec(shots, reps, [&]() {
+            benchmark::DoNotOptimize(BatchErrors(
+                corr_decoder, w.batch, corr_predictions));
+        });
+        const double frac =
+            static_cast<double>(w.batch.CountNonTrivialShots()) /
+            shots;
+        std::printf("%-6s %-4d %-6.0f %7d %10.1f%% %13.0f %13.0f "
+                    "%13.0f %13.0f %8.2fx %8.2fx %6.1f/%-6.1f\n",
+                    cfg.topology_name, d, improvement, shots,
+                    100.0 * frac, legacy_tput,
+                    scalar_tput, batch_tput, corr_tput,
+                    batch_tput / legacy_tput,
+                    batch_tput / corr_tput,
+                    forest_per_shot(batch_work),
+                    forest_per_shot(corr_work));
+        struct PathPoint
+        {
+            const char* path;
+            double tput;
+            std::int64_t errors;
+            bool correlated;
+            /** DecodeBatch work counters (batch paths only). */
+            const decoder::UnionFindDecoder::BatchOutcome* work;
+        };
+        for (const PathPoint& p :
+             {PathPoint{"legacy", legacy_tput, legacy_errors, false,
+                        nullptr},
+              {"scalar", scalar_tput, scalar_errors, false, nullptr},
+              {"batch", batch_tput, batch_errors, false, &batch_work},
+              {"batch_correlated", corr_tput, corr_errors, true,
+               &corr_work}}) {
+            bench::JsonRecord r;
+            r.Add("workload", "memory_z");
+            r.Add("topology", cfg.topology_name);
+            r.Add("capacity", 2);
+            r.Add("distance", d);
+            r.Add("gate_improvement", improvement);
+            r.Add("decode_path", p.path);
+            r.Add("correlated_decoder", p.correlated);
+            r.Add("shots", static_cast<std::int64_t>(shots));
+            r.Add("nontrivial_fraction", frac);
+            r.Add("metric", "shots_per_sec");
+            r.Add("value", p.tput);
+            r.Add("best_of", reps);
+            r.Add("errors", p.errors);
+            r.Add("errors_agree", legacy_errors == batch_errors &&
+                                      scalar_errors == batch_errors);
+            if (p.work != nullptr) {
+                r.Add("forest_nodes_per_shot",
+                      forest_per_shot(*p.work));
             }
+            records.push_back(std::move(r));
         }
     }
     std::printf("\n(acceptance: batch >= 2x the legacy scalar baseline "

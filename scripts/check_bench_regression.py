@@ -10,8 +10,9 @@ compares *within-host ratios*, which are portable:
            (both sides measured in the same process on the same host;
            the ratio is the hot-path overhaul's figure of merit)
   decode:  path_ratio = shots_per_sec[path] / shots_per_sec[legacy]
-           per (workload, distance, gate_improvement) config, for the
-           scalar / batch / batch_correlated paths
+           per (workload, topology, distance, gate_improvement) config,
+           for the scalar / batch / batch_correlated paths (snapshots
+           without a topology field are grid rows)
   dem:     speedup = oracle_ms / prod_ms per (distance, topology,
            rounds) row (the backward DEM builder against its forward
            bit-lane oracle, same process)
@@ -28,13 +29,16 @@ carries several percent of run-to-run noise on a shared box:
 A config is gated only when it appears in both the baseline and the
 fresh run (smoke runs measure a subset of the committed full-run axes).
 
-Two absolute within-host floors ride along:
+Absolute within-host floors ride along:
 
-  - the production correlated decoder must reach at least 2/3 of the
-    plain batch decoder's shots/sec on memory_z d=5 1X
-    (CORRELATED_FLOOR; both measured in the same process). A fresh run
-    without that config is not gated; a fresh run with it but missing
-    either path fails.
+  - the production correlated decoder must reach a floor fraction of
+    the plain batch decoder's shots/sec (both measured in the same
+    process) on two configs: 2/3 on memory_z grid d=5 1X, and 0.35 on
+    memory_z linear d=5 1X, the DEM with the most active stage-2
+    entries (CORRELATED_FLOORS). The linear floor sits between the
+    ratios measured before the shared-graph decoder (0.23-0.31) and
+    after it (0.42-0.46). A fresh run without a config is not gated for
+    it; a fresh run with it but missing either path fails.
   - on every WISE-wiring compile row at d >= 7 the fast pipeline must
     be at least as fast as the reference (WISE_FLOOR; the WISE conflict
     search once made it ~2.6x slower at d=9).
@@ -62,9 +66,12 @@ import math
 import os
 import sys
 
-# batch_correlated / batch shots/sec floor, and the config it applies to.
-CORRELATED_FLOOR = 2.0 / 3.0
-CORRELATED_FLOOR_CONFIG = ("memory_z", 5, 1)
+# batch_correlated / batch shots/sec floors, per (workload, topology,
+# distance, gate_improvement) config.
+CORRELATED_FLOORS = {
+    ("memory_z", "grid", 5, 1): 2.0 / 3.0,
+    ("memory_z", "linear", 5, 1): 0.35,
+}
 # fast/reference compile speedup floor on WISE rows from this distance up.
 WISE_FLOOR = 1.0
 WISE_FLOOR_MIN_DISTANCE = 7
@@ -206,7 +213,8 @@ def check_decode(baseline_dir, fresh_dir, threshold, failures):
     fresh = load_results(os.path.join(fresh_dir, "BENCH_decode.json"))
 
     def config_key(r):
-        return (r["workload"], r["distance"], r["gate_improvement"])
+        return (r["workload"], r.get("topology", "grid"), r["distance"],
+                r["gate_improvement"])
 
     def by_path(results):
         out = {}
@@ -249,19 +257,20 @@ def check_decode(baseline_dir, fresh_dir, threshold, failures):
                     positive_finite(r.get("value")):
                 fresh_ratio = r["value"] / legacy["value"]
             gate.add(
-                f"{cfg[0]} d={cfg[1]} {cfg[2]}x path={path_name}",
+                f"{cfg[0]} {cfg[1]} d={cfg[2]} {cfg[3]}x path={path_name}",
                 base_ratio, fresh_ratio)
     gate.verdict(failures)
-    check_correlated_floor(fresh_cfg, failures)
+    for config, floor in CORRELATED_FLOORS.items():
+        check_correlated_floor(fresh_cfg, config, floor, failures)
 
 
-def check_correlated_floor(fresh_cfg, failures):
-    """Fails when the fresh correlated decoder is slower than
-    CORRELATED_FLOOR x the plain batch decoder on the floor config."""
-    paths = fresh_cfg.get(CORRELATED_FLOOR_CONFIG)
+def check_correlated_floor(fresh_cfg, config, floor, failures):
+    """Fails when the fresh correlated decoder is slower than `floor` x
+    the plain batch decoder on `config`."""
+    paths = fresh_cfg.get(config)
     if paths is None:
         return  # config not measured in this run
-    name = "{} d={} {}x".format(*CORRELATED_FLOOR_CONFIG)
+    name = "{} {} d={} {}x".format(*config)
     plain = paths.get("batch", {}).get("value")
     corr = paths.get("batch_correlated", {}).get("value")
     if not positive_finite(plain) or not positive_finite(corr):
@@ -271,14 +280,13 @@ def check_correlated_floor(fresh_cfg, failures):
             f"batch_correlated={corr!r})")
         return
     ratio = corr / plain
-    flag = "" if ratio >= CORRELATED_FLOOR else "  <-- LOW"
+    flag = "" if ratio >= floor else "  <-- LOW"
     print(f"  correlated floor {name}: batch_correlated/batch = "
-          f"{ratio:.3f} (floor {CORRELATED_FLOOR:.3f}){flag}")
-    if ratio < CORRELATED_FLOOR:
+          f"{ratio:.3f} (floor {floor:.3f}){flag}")
+    if ratio < floor:
         failures.append(
             f"correlated floor {name}: batch_correlated reaches "
-            f"{ratio:.1%} of batch shots/sec (floor "
-            f"{CORRELATED_FLOOR:.1%})")
+            f"{ratio:.1%} of batch shots/sec (floor {floor:.1%})")
 
 
 def check_dem(baseline_dir, fresh_dir, threshold, failures):

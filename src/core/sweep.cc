@@ -14,6 +14,7 @@
 
 #include "analysis/analysis.h"
 #include "common/worker_pool.h"
+#include "decoder/decoding_graph.h"
 #include "sim/parallel_sampler.h"
 #include "store/artifact_store.h"
 #include "store/keys.h"
@@ -23,10 +24,12 @@ namespace tiqec::core {
 namespace {
 
 /** A candidate's stage keys, computed once: per unit (in
- *  `UnitCodesFor` order) its compile and noise keys, and the sim key of
- *  its primary unit. They are the store's content keys
- *  (store/keys.h), so candidates share an entry exactly when the
- *  content the stage reads is equal, whether or not they share objects. */
+ *  `UnitCodesFor` order) its compile and noise keys, the sim key of its
+ *  primary unit, and its decoding-graph key (sim key + correlated).
+ *  They are the store's content keys (store/keys.h), so candidates share
+ *  an entry exactly when the content the stage reads is equal, whether
+ *  or not they share objects. The graph is never persisted; its key
+ *  only indexes the in-memory cache. */
 struct CandidateKeys
 {
     std::vector<const qec::StabilizerCode*> units;
@@ -35,6 +38,7 @@ struct CandidateKeys
     size_t primary = 0;
     int rounds = 0;
     store::StoreKey sim;
+    store::StoreKey graph;
 };
 
 struct CompileEntry
@@ -57,6 +61,13 @@ struct SimEntry
     std::string error;
     /** Shared with every outcome that reads this entry. */
     std::shared_ptr<SimArtifacts> arts = std::make_shared<SimArtifacts>();
+};
+
+struct GraphEntry
+{
+    std::string error;
+    /** Shared read-only by every Monte-Carlo run of this key. */
+    std::shared_ptr<const decoder::DecodingGraph> graph;
 };
 
 /** The first (candidate, unit) that asked for a key. A stage body
@@ -199,6 +210,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     std::atomic<std::int64_t> num_compiles{0};
     std::atomic<std::int64_t> num_annotates{0};
     std::atomic<std::int64_t> num_sim_builds{0};
+    std::atomic<std::int64_t> num_decoder_builds{0};
     std::atomic<std::int64_t> num_validations{0};
     std::atomic<std::int64_t> num_validation_failures{0};
     std::atomic<std::int64_t> num_certifies{0};
@@ -236,6 +248,9 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         k.rounds = c.options.rounds > 0 ? c.options.rounds
                                         : c.code->distance();
         k.sim = store::SimStoreKey(k.noise[k.primary], k.rounds, spec);
+        k.graph = {"graph", "graph|correlated=" +
+                                std::to_string(c.options.correlated ? 1 : 0) +
+                                "|" + k.sim.canonical};
     }
     const auto live = [&](size_t i) {
         return failed[i].at == FailedAt::kNowhere;
@@ -262,11 +277,12 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     using Keys = std::span<const store::StoreKey>;
     // Every stage runs the same way: each live candidate `wants` picks
     // asks for its keys (`keys_of`: one per unit, or its one sim key),
-    // each distinct key is computed once, and the candidate then fails
-    // at `at` with the first of its entries that `error_of` flags.
+    // each distinct key is computed once on `width` workers, and the
+    // candidate then fails at `at` with the first of its entries that
+    // `error_of` flags.
     const auto run_stage = [&](auto& stage, FailedAt at, const auto& keys_of,
                                const auto& wants, const auto& body,
-                               const auto& error_of) {
+                               const auto& error_of, int width) {
         for (const size_t i : by_size) {
             if (wants(i)) {
                 const Keys ks = keys_of(i);
@@ -275,7 +291,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 }
             }
         }
-        stage.Run(threads, body);
+        stage.Run(width, body);
         for (size_t i = 0; i < n; ++i) {
             if (wants(i)) {
                 for (const store::StoreKey& key : keys_of(i)) {
@@ -290,6 +306,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     const auto compile_keys = [&](size_t i) { return Keys(keys[i].compile); };
     const auto noise_keys = [&](size_t i) { return Keys(keys[i].noise); };
     const auto sim_key = [&](size_t i) { return Keys(&keys[i].sim, 1); };
+    const auto graph_key = [&](size_t i) { return Keys(&keys[i].graph, 1); };
     const auto error_text = [](const std::string& error) {
         return error.empty() ? nullptr : &error;
     };
@@ -333,7 +350,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         },
         [](const CompileEntry& entry) {
             return entry.arts->ok ? nullptr : &entry.arts->error;
-        });
+        },
+        threads);
 
     // ---- Stage 1b: artifact validation once per compile key that any
     // validating candidate references. A failure gates only candidates
@@ -362,7 +380,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     analysis::kCompiledSubject, diags);
             }
         },
-        error_text);
+        error_text,
+        threads);
 
     // ---- Stage 2: annotate once per unique noise scenario (per unit).
     // Multi-round compile-only candidates have no noise profile.
@@ -402,7 +421,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 entry.error = e.what();
             }
         },
-        entry_error);
+        entry_error,
+        threads);
 
     // ---- Stage 3: experiment + DEM once per unique experiment shape.
     // The primary unit's noise key leads the sim key; a program
@@ -454,7 +474,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                 entry.error = e.what();
             }
         },
-        entry_error);
+        entry_error,
+        threads);
 
     // ---- Stages 3b and 3c: validate the simulation artifacts (circuit
     // + DEM rules, plus the workload-aware unreferenced-record check),
@@ -483,7 +504,8 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
                     error = analysis::FormatDiagnostics(subject, diags);
                 }
             },
-            error_text);
+            error_text,
+        threads);
     };
     check_sim(
         &EvaluationOptions::validate_artifacts,
@@ -501,6 +523,35 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
         },
         analysis::kCertifySubject, num_certifies, num_certify_failures);
 
+    // ---- Stage 3d: the decoding graph once per (sim key, correlated)
+    // any sampling candidate references. Its Monte-Carlo workers share
+    // it read-only; each brings only its own decode scratch. The graphs
+    // are built on this thread. Built on pool workers, their sort
+    // scratch left the workers' malloc arenas holding freed memory, and
+    // a warm design sweep's peak RSS rose 10-23%; one thread costs ~0.1
+    // s of its batch wall time (the 49 graphs take ~125 ms serially).
+    const auto samples = [&](size_t i) {
+        return simulates(i) && candidates[i].options.max_shots > 0;
+    };
+    KeyedStage<GraphEntry> graphs;
+    run_stage(
+        graphs, FailedAt::kSimUse, graph_key, samples,
+        [&](const Exemplar& ex, GraphEntry& entry) {
+            try {
+                entry.graph = std::make_shared<const decoder::DecodingGraph>(
+                    sim.at(keys[ex.candidate].sim).arts->dem,
+                    decoder::DecodingGraph::Options{
+                        candidates[ex.candidate].options.correlated});
+                num_decoder_builds.fetch_add(1, std::memory_order_relaxed);
+            } catch (const std::exception& e) {
+                entry.error = e.what();
+            }
+        },
+        [](const GraphEntry& entry) {
+            return entry.graph ? nullptr : &entry.error;
+        },
+        1);
+
     // ---- Stage 4: every candidate's Monte-Carlo shards on the shared
     // pool through the one driver, sim::RunLerShards. Each run's shard
     // streams and in-order commit are its own, so the totals are
@@ -509,19 +560,18 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     std::vector<std::unique_ptr<sim::LerShardRun>> runs(n);
     std::vector<sim::LerShardRun*> active;
     for (size_t i = 0; i < n; ++i) {
-        const SweepCandidate& c = candidates[i];
-        if (!simulates(i) || c.options.max_shots <= 0) {
+        if (!samples(i)) {
             continue;
         }
-        const SimArtifacts& arts = *sim.at(keys[i].sim).arts;
+        const SweepCandidate& c = candidates[i];
         sim::ParallelSamplerOptions sopts;
         sopts.seed = c.options.seed;
         sopts.shard_shots = c.options.shard_shots;
         sopts.decode_path = c.options.decode_path;
-        sopts.correlated = c.options.correlated;
         try {
             runs[i] = std::make_unique<sim::LerShardRun>(
-                arts.experiment, arts.dem, sopts, c.options.max_shots,
+                sim.at(keys[i].sim).arts->experiment,
+                graphs.at(keys[i].graph).graph, sopts, c.options.max_shots,
                 c.options.target_logical_errors);
             active.push_back(runs[i].get());
         } catch (const std::exception& e) {
@@ -598,6 +648,7 @@ SweepRunner::RunDetailed(const std::vector<SweepCandidate>& candidates)
     last_run_stats_.compiles = num_compiles.load();
     last_run_stats_.annotates = num_annotates.load();
     last_run_stats_.sim_builds = num_sim_builds.load();
+    last_run_stats_.decoder_builds = num_decoder_builds.load();
     last_run_stats_.validations = num_validations.load();
     last_run_stats_.validation_failures = num_validation_failures.load();
     last_run_stats_.certifies = num_certifies.load();

@@ -118,6 +118,10 @@ struct SweepRunStats
     std::int64_t compiles = 0;
     std::int64_t annotates = 0;
     std::int64_t sim_builds = 0;
+    /** Decoding graphs built this run: one per (sim key, correlated)
+     *  that a sampling candidate references, shared by every worker
+     *  that decodes its shards. */
+    std::int64_t decoder_builds = 0;
     /** Store probe outcomes this run (all three artifact levels). */
     std::int64_t store_hits = 0;
     std::int64_t store_misses = 0;

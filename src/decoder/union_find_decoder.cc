@@ -2,145 +2,43 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace tiqec::decoder {
 
 UnionFindDecoder::UnionFindDecoder(const sim::DetectorErrorModel& dem,
                                    const Options& options)
-    : num_detectors_(dem.num_detectors)
+    : UnionFindDecoder(std::make_shared<const DecodingGraph>(dem, options))
 {
-    edges_.reserve(dem.edges.size());
-    incident_off_.assign(num_detectors_ + 1, 0);
-    for (const auto& e : dem.edges) {
-        const std::int32_t v =
-            e.d1 == sim::DemEdge::kBoundary ? BoundaryNode() : e.d1;
-        edges_.push_back({e.d0, v, e.obs_mask});
-        ++incident_off_[e.d0 + 1];
-        if (v != BoundaryNode()) {
-            ++incident_off_[v + 1];
-        }
-    }
-    for (int i = 0; i < num_detectors_; ++i) {
-        incident_off_[i + 1] += incident_off_[i];
-    }
-    // Filled in edge order, so every node lists its edges in DEM order.
-    incident_edges_.resize(incident_off_.back());
-    std::vector<std::int32_t> fill(incident_off_.begin(),
-                                   incident_off_.end() - 1);
-    for (size_t i = 0; i < edges_.size(); ++i) {
-        const Edge& e = edges_[i];
-        incident_edges_[fill[e.u]++] = static_cast<std::int32_t>(i);
-        if (e.v != BoundaryNode()) {
-            incident_edges_[fill[e.v]++] = static_cast<std::int32_t>(i);
-        }
-    }
-    const int n = num_detectors_ + 1;
+}
+
+UnionFindDecoder::UnionFindDecoder(std::shared_ptr<const DecodingGraph> graph)
+    : graph_(std::move(graph)), stage2_(graph_->num_active_hyperedges() > 0)
+{
+    const DecodingGraph& g = *graph_;
+    const int n = g.num_detectors() + 1;
     parent_.resize(n);
     for (int i = 0; i < n; ++i) {
         parent_[i] = i;
     }
     defect_.assign(n, 0);
     in_cluster_.assign(n, 0);
-    edge_grown_.assign(edges_.size(), 0);
+    edge_grown_.assign(g.num_edges(), 0);
     cluster_of_root_.assign(n, -1);
-    grown_adj_.resize(n);
+    grown_degree_.assign(n, 0);
+    grown_begin_.assign(n, 0);
     parent_edge_.assign(n, -1);
     visited_.assign(n, 0);
-
-    weighted_ = options.correlated;
-    if (weighted_) {
-        edge_weight_.reserve(edges_.size());
-        for (const auto& e : dem.edges) {
-            edge_weight_.push_back(
-                -std::log(std::clamp(e.p, 1e-15, 1.0)));
-        }
-    }
-
-    if (!options.correlated || dem.hyperedges.empty()) {
-        return;
-    }
-
-    // ---- Stage-2 arbitration, per decomposition edge set ----------------
-    // Competing interpretations of one realised edge set: the
-    // independent-edges baseline (residual 0) versus every mechanism
-    // variant that decomposes onto exactly that set. The most probable
-    // interpretation wins statically; only winners whose observable
-    // action differs from the edge XOR need a runtime entry (a winning
-    // consistent interpretation vetoes nothing but corrects nothing).
-    const auto odds_of = [](double p) {
-        return p < 1.0 ? p / (1.0 - p) : 1e300;
-    };
-    std::map<std::vector<std::int32_t>, std::vector<int>> by_edge_set;
-    for (size_t i = 0; i < dem.hyperedges.size(); ++i) {
-        std::vector<std::int32_t> key(dem.hyperedges[i].edges.begin(),
-                                      dem.hyperedges[i].edges.end());
-        std::sort(key.begin(), key.end());
-        by_edge_set[std::move(key)].push_back(static_cast<int>(i));
-    }
-    struct Winner
-    {
-        const std::vector<std::int32_t>* edge_set;
-        std::uint32_t residual;
-        int mechanism;
-        double p;
-    };
-    std::vector<Winner> winners;
-    for (const auto& [edge_set, variants] : by_edge_set) {
-        double baseline = 1.0;
-        std::uint32_t edge_obs = 0;
-        for (const std::int32_t ei : edge_set) {
-            baseline *= odds_of(dem.edges[ei].p);
-            edge_obs ^= dem.edges[ei].obs_mask;
-        }
-        double best_odds = baseline;
-        int best = -1;
-        for (const int vi : variants) {
-            const double odds = odds_of(dem.hyperedges[vi].p);
-            if (odds > best_odds) {
-                best_odds = odds;
-                best = vi;
-            }
-        }
-        if (best < 0) {
-            continue;  // independent-edges interpretation wins
-        }
-        const auto& h = dem.hyperedges[best];
-        const std::uint32_t residual = h.obs_mask ^ edge_obs;
-        if (residual != 0) {
-            winners.push_back({&edge_set, residual, h.mechanism, h.p});
-        }
-    }
-    std::stable_sort(winners.begin(), winners.end(),
-                     [](const Winner& a, const Winner& b) {
-                         return a.p > b.p;
-                     });
-
-    std::map<int, std::int32_t> dense_mech;
-    hyper_off_.push_back(0);
-    edge_hyper_.resize(edges_.size());
-    for (const Winner& w : winners) {
-        const auto idx = static_cast<std::int32_t>(hyper_residual_.size());
-        for (const std::int32_t ei : *w.edge_set) {
-            hyper_edge_list_.push_back(ei);
-            edge_hyper_[ei].push_back(idx);
-        }
-        hyper_off_.push_back(
-            static_cast<std::int32_t>(hyper_edge_list_.size()));
-        hyper_residual_.push_back(w.residual);
-        const auto [it, inserted] = dense_mech.emplace(
-            w.mechanism, static_cast<std::int32_t>(dense_mech.size()));
-        hyper_mech_.push_back(it->second);
-    }
-    stage2_ = !hyper_residual_.empty();
+    best_dist_.assign(n, 0.0);
+    best_pe_.assign(n, 0);
+    best_search_.assign(n, 0);
     if (stage2_) {
-        edge_used_.assign(edges_.size(), 0);
-        edge_claimed_.assign(edges_.size(), 0);
-        hyper_seen_.assign(hyper_residual_.size(), 0);
-        mech_claimed_.assign(dense_mech.size(), 0);
+        edge_used_.assign(g.num_edges(), 0);
+        edge_claimed_.assign(g.num_edges(), 0);
+        entry_hits_.assign(g.num_active_hyperedges(), 0);
+        mech_claimed_.assign(g.num_mechanisms_, 0);
     }
 }
 
@@ -164,8 +62,10 @@ UnionFindDecoder::ResetScratch()
         cluster_of_root_[node] = -1;
         parent_edge_[node] = -1;
         visited_[node] = 0;
-        grown_adj_[node].clear();
+        grown_degree_[node] = 0;
+        best_search_[node] = 0;
     }
+    search_ = 0;
     for (const std::int32_t ei : grown_edges_) {
         edge_grown_[ei] = 0;
     }
@@ -176,16 +76,49 @@ UnionFindDecoder::ResetScratch()
         for (const std::int32_t ei : used_edges_) {
             edge_used_[ei] = 0;
             edge_claimed_[ei] = 0;
+            for (const std::int32_t hi : graph_->EntriesOf(ei)) {
+                entry_hits_[hi] = 0;
+            }
         }
         used_edges_.clear();
-        for (const std::int32_t hi : hyper_cands_) {
-            hyper_seen_[hi] = 0;
-        }
-        hyper_cands_.clear();
+        covered_.clear();
         for (const std::int32_t m : mechs_claimed_) {
             mech_claimed_[m] = 0;
         }
         mechs_claimed_.clear();
+    }
+}
+
+void
+UnionFindDecoder::BuildGrownAdjacency()
+{
+    // Every endpoint of a grown edge is touched (growth only absorbs
+    // edges at cluster nodes and touches what lies across), so the CSR
+    // spans the touched nodes; the fill keeps grown_edges_ order.
+    const DecodingGraph& g = *graph_;
+    for (const std::int32_t ei : grown_edges_) {
+        const DecodingGraph::Edge& e = g.edges_[ei];
+        ++grown_degree_[e.u];
+        if (e.v != BoundaryNode()) {
+            ++grown_degree_[e.v];
+        }
+    }
+    std::int32_t next = 0;
+    for (const std::int32_t node : touched_nodes_) {
+        grown_begin_[node] = next;
+        next += grown_degree_[node];
+    }
+    grown_arcs_.resize(static_cast<size_t>(next));
+    for (const std::int32_t ei : grown_edges_) {
+        const DecodingGraph::Edge& e = g.edges_[ei];
+        grown_arcs_[grown_begin_[e.u]++] = {e.v, ei};
+        if (e.v != BoundaryNode()) {
+            grown_arcs_[grown_begin_[e.v]++] = {e.u, ei};
+        }
+    }
+    // The fill advanced each begin past its node's arcs.
+    for (const std::int32_t node : touched_nodes_) {
+        grown_begin_[node] -= grown_degree_[node];
     }
 }
 
@@ -199,20 +132,19 @@ UnionFindDecoder::BuildBfsForest()
         order_.push_back(start);
         while (head < order_.size()) {
             const std::int32_t node = order_[head++];
-            for (const std::int32_t ei : grown_adj_[node]) {
-                const Edge& e = edges_[ei];
-                const int other = e.u == node ? e.v : e.u;
-                if (other == BoundaryNode() || visited_[other]) {
+            for (const Arc& arc : GrownArcs(node)) {
+                if (arc.other == BoundaryNode() || visited_[arc.other]) {
                     continue;
                 }
-                visited_[other] = 1;
-                parent_edge_[other] = ei;
-                order_.push_back(other);
+                visited_[arc.other] = 1;
+                parent_edge_[arc.other] = arc.edge;
+                order_.push_back(arc.other);
             }
         }
     };
+    const DecodingGraph& g = *graph_;
     for (const std::int32_t ei : grown_edges_) {
-        const Edge& e = edges_[ei];
+        const DecodingGraph::Edge& e = g.edges_[ei];
         if (e.v == BoundaryNode() && !visited_[e.u]) {
             visited_[e.u] = 1;
             parent_edge_[e.u] = ei;  // parent is the boundary
@@ -247,6 +179,11 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
     //    settles a parent before its children, so every parent edge a
     //    defect's path uses is already final, and the unsettled rest
     //    holds no defect.
+    // A push whose (dist, edge) is not below the node's best entry in
+    // the current search is dropped: the heap's total order would pop it
+    // after that entry, by which time the node is settled, so the
+    // settled sequence is unchanged.
+    const DecodingGraph& g = *graph_;
     auto greater = [](const HeapEntry& a, const HeapEntry& b) {
         if (a.dist != b.dist) {
             return a.dist > b.dist;
@@ -256,8 +193,20 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
         }
         return a.pe > b.pe;
     };
+    auto push = [&](double dist, std::int32_t node, std::int32_t pe) {
+        if (best_search_[node] == search_ &&
+            (dist > best_dist_[node] ||
+             (dist == best_dist_[node] && pe >= best_pe_[node]))) {
+            return;
+        }
+        best_search_[node] = search_;
+        best_dist_[node] = dist;
+        best_pe_[node] = pe;
+        heap_.push_back({dist, node, pe});
+        std::push_heap(heap_.begin(), heap_.end(), greater);
+    };
     auto dead_leaf = [&](int node) {
-        return !defect_[node] && grown_adj_[node].size() == 1;
+        return !defect_[node] && grown_degree_[node] == 1;
     };
     auto run = [&](int defects) {
         while (defects > 0 && !heap_.empty()) {
@@ -271,16 +220,13 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
             parent_edge_[top.node] = top.pe;
             order_.push_back(top.node);
             defects -= defect_[top.node];
-            for (const std::int32_t ei : grown_adj_[top.node]) {
-                const Edge& e = edges_[ei];
-                const int other = e.u == top.node ? e.v : e.u;
-                if (other == BoundaryNode() || visited_[other] ||
-                    dead_leaf(other)) {
+            for (const Arc& arc : GrownArcs(top.node)) {
+                if (arc.other == BoundaryNode() || visited_[arc.other] ||
+                    dead_leaf(arc.other)) {
                     continue;
                 }
-                heap_.push_back({top.dist + edge_weight_[ei],
-                                 static_cast<std::int32_t>(other), ei});
-                std::push_heap(heap_.begin(), heap_.end(), greater);
+                push(top.dist + g.edge_weight_[arc.edge], arc.other,
+                     arc.edge);
             }
         }
         heap_.clear();
@@ -298,11 +244,11 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
         }
     }
     if (boundary_defects > 0) {
+        ++search_;
         for (const std::int32_t ei : grown_edges_) {
-            const Edge& e = edges_[ei];
+            const DecodingGraph::Edge& e = g.edges_[ei];
             if (e.v == BoundaryNode()) {
-                heap_.push_back({edge_weight_[ei], e.u, ei});
-                std::push_heap(heap_.begin(), heap_.end(), greater);
+                push(g.edge_weight_[ei], e.u, ei);
             }
         }
         run(boundary_defects);
@@ -311,10 +257,53 @@ UnionFindDecoder::BuildWeightedForest(std::span<const int> syndrome)
     // defect in syndrome order.
     for (const int d : syndrome) {
         if (!visited_[d]) {
-            heap_.push_back({0.0, d, -1});  // interior forest root
+            ++search_;
+            push(0.0, d, -1);  // interior forest root
             run(clusters_[cluster_of_root_[Find(d)]].parity);
         }
     }
+}
+
+std::uint32_t
+UnionFindDecoder::ApplyStage2()
+{
+    // Each used edge counts a hit on every entry it belongs to; an entry
+    // is a candidate only once all its decomposition edges are used.
+    // Candidates then claim in priority order (entry index), at most one
+    // per mechanism and each edge at most once, and re-apply their
+    // residual observable action — the part of the mechanism's true
+    // effect the elementary edge XOR got wrong.
+    const DecodingGraph& g = *graph_;
+    for (const std::int32_t ei : used_edges_) {
+        for (const std::int32_t hi : g.EntriesOf(ei)) {
+            if (++entry_hits_[hi] ==
+                g.hyper_off_[hi + 1] - g.hyper_off_[hi]) {
+                covered_.push_back(hi);
+            }
+        }
+    }
+    std::sort(covered_.begin(), covered_.end());
+    std::uint32_t residual = 0;
+    for (const std::int32_t hi : covered_) {
+        const std::int32_t mech = g.hyper_mech_[hi];
+        if (mech_claimed_[mech]) {
+            continue;
+        }
+        const auto edges = g.EdgesOf(hi);
+        if (std::any_of(edges.begin(), edges.end(), [&](std::int32_t ei) {
+                return edge_claimed_[ei] != 0;
+            })) {
+            continue;
+        }
+        for (const std::int32_t ei : edges) {
+            edge_claimed_[ei] = 1;
+        }
+        mech_claimed_[mech] = 1;
+        mechs_claimed_.push_back(mech);
+        residual ^= g.hyper_residual_[hi];
+        ++work_stage2_claims_;
+    }
+    return residual;
 }
 
 std::uint32_t
@@ -323,6 +312,8 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
     if (syndrome.empty()) {
         return 0;
     }
+    const DecodingGraph& g = *graph_;
+    const int num_detectors = g.num_detectors();
     if (clusters_.size() < syndrome.size()) {
         clusters_.resize(syndrome.size());
     }
@@ -336,7 +327,7 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
 
     for (size_t i = 0; i < syndrome.size(); ++i) {
         const int d = syndrome[i];
-        const bool in_range = d >= 0 && d < num_detectors_;
+        const bool in_range = d >= 0 && d < num_detectors;
         if (!in_range || in_cluster_[d]) {
             // A repeated detector has even parity, not a defect, and the
             // forest's per-cluster defect counts assume distinct seeds.
@@ -346,7 +337,7 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
                 std::to_string(d) +
                 (in_range ? " is listed twice"
                           : " is out of range [0, " +
-                                std::to_string(num_detectors_) + ")"));
+                                std::to_string(num_detectors) + ")"));
         }
         touch(d);
         defect_[d] = 1;
@@ -377,14 +368,13 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             frontier_scratch_.clear();
             frontier_scratch_.swap(c.frontier);
             for (const std::int32_t node : frontier_scratch_) {
-                for (const std::int32_t ei : Incident(node)) {
-                    if (edge_grown_[ei]) {
+                for (const Arc& arc : g.Incident(node)) {
+                    if (edge_grown_[arc.edge]) {
                         continue;
                     }
-                    edge_grown_[ei] = 1;
-                    grown_edges_.push_back(ei);
-                    const Edge& e = edges_[ei];
-                    const int other = e.u == node ? e.v : e.u;
+                    edge_grown_[arc.edge] = 1;
+                    grown_edges_.push_back(arc.edge);
+                    const int other = arc.other;
                     if (other == BoundaryNode()) {
                         c.boundary = true;
                         continue;
@@ -440,18 +430,12 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
     // Spanning forest over grown edges; boundary-touching clusters root at
     // the boundary so leftover defects can drain into it.
     std::uint32_t correction = 0;
-    for (const std::int32_t ei : grown_edges_) {
-        const Edge& e = edges_[ei];
-        grown_adj_[e.u].push_back(ei);
-        if (e.v != BoundaryNode()) {
-            grown_adj_[e.v].push_back(ei);
-        }
-    }
+    BuildGrownAdjacency();
     // Trees must root at the boundary where possible, so each search runs
     // to exhaustion before any new root is seeded; otherwise every cluster
     // node would become its own parentless root and defects could never
     // drain along tree edges.
-    if (weighted_) {
+    if (g.weighted_) {
         BuildWeightedForest(syndrome);
     } else {
         BuildBfsForest();
@@ -470,9 +454,9 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
             // growth loop above).
             continue;
         }
-        const Edge& e = edges_[ei];
+        const DecodingGraph::Edge& e = g.edges_[ei];
         correction ^= e.obs_mask;
-        if (stage2_) {
+        if (stage2_ && !edge_used_[ei]) {
             edge_used_[ei] = 1;
             used_edges_.push_back(ei);
         }
@@ -484,46 +468,8 @@ UnionFindDecoder::Decode(std::span<const int> syndrome)
     }
 
     // ---- Correlated stage 2 ---------------------------------------------
-    // Entries whose decomposition edges all appear in the realised
-    // correction claim those edges in priority order (at most one
-    // interpretation per mechanism) and re-apply their residual
-    // observable action — the part of the mechanism's true effect the
-    // elementary edge XOR got wrong.
     if (stage2_ && !used_edges_.empty()) {
-        for (const std::int32_t ei : used_edges_) {
-            for (const std::int32_t hi : edge_hyper_[ei]) {
-                if (!hyper_seen_[hi]) {
-                    hyper_seen_[hi] = 1;
-                    hyper_cands_.push_back(hi);
-                }
-            }
-        }
-        std::sort(hyper_cands_.begin(), hyper_cands_.end());
-        for (const std::int32_t hi : hyper_cands_) {
-            const std::int32_t mech = hyper_mech_[hi];
-            if (mech_claimed_[mech]) {
-                continue;
-            }
-            bool applies = true;
-            for (std::int32_t k = hyper_off_[hi]; k < hyper_off_[hi + 1];
-                 ++k) {
-                const std::int32_t ei = hyper_edge_list_[k];
-                if (!edge_used_[ei] || edge_claimed_[ei]) {
-                    applies = false;
-                    break;
-                }
-            }
-            if (!applies) {
-                continue;
-            }
-            for (std::int32_t k = hyper_off_[hi]; k < hyper_off_[hi + 1];
-                 ++k) {
-                edge_claimed_[hyper_edge_list_[k]] = 1;
-            }
-            mech_claimed_[mech] = 1;
-            mechs_claimed_.push_back(mech);
-            correction ^= hyper_residual_[hi];
-        }
+        correction ^= ApplyStage2();
     }
 
     work_grown_edges_ += static_cast<std::int64_t>(grown_edges_.size());
@@ -537,7 +483,7 @@ UnionFindDecoder::DecodeBatch(const sim::SampleBatch& batch,
                               std::vector<std::uint64_t>& predictions,
                               const std::function<bool()>& cancelled)
 {
-    if (batch.num_detectors() != num_detectors_) {
+    if (batch.num_detectors() != graph_->num_detectors()) {
         throw std::invalid_argument(
             "UnionFindDecoder::DecodeBatch: batch detector count does "
             "not match the decoding graph");
@@ -551,6 +497,7 @@ UnionFindDecoder::DecodeBatch(const sim::SampleBatch& batch,
         num_obs >= 32 ? ~0u : (1u << num_obs) - 1;
     work_grown_edges_ = 0;
     work_forest_nodes_ = 0;
+    work_stage2_claims_ = 0;
     out.completed = true;
     for (int w = 0; w < words; ++w) {
         if (cancelled && cancelled()) {
@@ -582,6 +529,7 @@ UnionFindDecoder::DecodeBatch(const sim::SampleBatch& batch,
     }
     out.grown_edges = work_grown_edges_;
     out.forest_nodes = work_forest_nodes_;
+    out.stage2_claims = work_stage2_claims_;
     return out;
 }
 

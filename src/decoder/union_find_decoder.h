@@ -11,10 +11,18 @@
  *     from the leaves; a leaf edge joins the correction iff its leaf node
  *     carries a defect, and the defect parity is pushed to the parent.
  *
+ * The decoder reads an immutable `DecodingGraph` (decoder/decoding_graph.h:
+ * edges, incidence, weights, arbitrated stage-2 tables) and owns only the
+ * per-decode scratch, so any number of decoders, one per worker, can
+ * share one graph (DESIGN.md §3.4). The grown edges of each decode are
+ * laid out as a CSR adjacency over the touched nodes, in growth order,
+ * which both forest builders read.
+ *
  * In the correlated mode the forest is a most-probable-path Dijkstra
  * search that settles only what the peel can use (DESIGN.md §3.6): a
- * non-defect node with a single grown edge is never pushed, the
- * boundary search stops once every defect of a boundary-touching
+ * non-defect node with a single grown edge is never pushed, a push no
+ * better than the node's best entry in the current search is dropped,
+ * the boundary search stops once every defect of a boundary-touching
  * cluster has settled, and each interior search roots at its cluster's
  * first defect and stops at the cluster's last. Parents settle before
  * children, so the parent edges above every defect, and hence the
@@ -31,24 +39,25 @@
  * `DecodeBatch` (see DESIGN.md §3.4 and bench/bench_decode_throughput).
  *
  * A correlated second stage (DESIGN.md §3.6) repairs the observable
- * action of multi-detector mechanisms the elementary graph mislabels:
- * at construction, every DEM hyperedge variant is arbitrated against
- * the independent-edges interpretation of its decomposition edge set
- * (odds p/(1-p) vs the product of the edges' odds), and the winners
- * with a non-zero residual observable action are indexed by edge. After
- * peeling, any active entry whose decomposition edges all appear in the
- * realised correction claims them (at most one interpretation per
- * mechanism, highest-probability first) and XORs its residual into the
- * prediction.
+ * action of multi-detector mechanisms the elementary graph mislabels.
+ * The graph keeps the hyperedge variants that win arbitration against
+ * the independent-edges interpretation of their decomposition edge set
+ * and carry a non-zero residual observable action. After peeling, each
+ * used edge counts a hit on the entries it belongs to; the entries whose
+ * decomposition edges were all used then claim them (at most one
+ * interpretation per mechanism, highest-probability first) and XOR their
+ * residual into the prediction.
  */
 #ifndef TIQEC_DECODER_UNION_FIND_DECODER_H
 #define TIQEC_DECODER_UNION_FIND_DECODER_H
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "decoder/decoding_graph.h"
 #include "sim/dem.h"
 #include "sim/frame_simulator.h"
 
@@ -57,34 +66,24 @@ namespace tiqec::decoder {
 class UnionFindDecoder
 {
   public:
-    struct Options
-    {
-        /** Enables the probability-aware decode: the peeling forest
-         *  follows most-probable paths (w = -log p, using the mass the
-         *  decomposition pass folds into the elementary edges), and the
-         *  correlated second stage re-applies hyperedge mechanisms'
-         *  residual observable action when the realised correction
-         *  matches their decomposition. Off gives the unweighted
-         *  elementary-graph decoder (the PR-5 baseline). */
-        bool correlated = true;
-    };
+    using Options = DecodingGraph::Options;
 
-    /** Builds the decoding graph from a DEM. Edges with p == 0 are kept
-     *  (zero-weight structure can still be used for decomposition). */
+    /** Builds a private decoding graph from a DEM. */
     explicit UnionFindDecoder(const sim::DetectorErrorModel& dem)
         : UnionFindDecoder(dem, Options())
     {
     }
     UnionFindDecoder(const sim::DetectorErrorModel& dem,
                      const Options& options);
+    /** Decodes on a shared graph; the decoder owns only its scratch. */
+    explicit UnionFindDecoder(std::shared_ptr<const DecodingGraph> graph);
 
-    int num_detectors() const { return num_detectors_; }
-    int num_edges() const { return static_cast<int>(edges_.size()); }
-    /** Hyperedge interpretations that survived arbitration and carry a
-     *  non-zero residual (0 when Options::correlated is false). */
+    int num_detectors() const { return graph_->num_detectors(); }
+    int num_edges() const { return graph_->num_edges(); }
+    /** See DecodingGraph::num_active_hyperedges. */
     int num_active_hyperedges() const
     {
-        return static_cast<int>(hyper_residual_.size());
+        return graph_->num_active_hyperedges();
     }
 
     /**
@@ -110,10 +109,11 @@ class UnionFindDecoder
          *  skipped in 64-shot words; their prediction is 0). */
         std::int64_t decoded_shots = 0;
         /** Deterministic work counters summed over the decoded shots:
-         *  edges absorbed by cluster growth, and nodes the peeling
-         *  forest settled. */
+         *  edges absorbed by cluster growth, nodes the peeling forest
+         *  settled, and stage-2 entries that claimed their edges. */
         std::int64_t grown_edges = 0;
         std::int64_t forest_nodes = 0;
+        std::int64_t stage2_claims = 0;
         /** False iff the `cancelled` callback stopped the batch. */
         bool completed = false;
     };
@@ -138,12 +138,7 @@ class UnionFindDecoder
                              const std::function<bool()>& cancelled = {});
 
   private:
-    struct Edge
-    {
-        std::int32_t u;  ///< detector index
-        std::int32_t v;  ///< detector index or kBoundaryNode
-        std::uint32_t obs_mask;
-    };
+    using Arc = DecodingGraph::Arc;
 
     /** Live per-decode cluster state, keyed by current union-find root
      *  through cluster_of_root_. */
@@ -162,9 +157,20 @@ class UnionFindDecoder
         std::int32_t pe;  ///< parent edge (-1 for interior roots)
     };
 
-    int BoundaryNode() const { return num_detectors_; }
+    int BoundaryNode() const { return graph_->BoundaryNode(); }
 
     int Find(int x);
+
+    /** Lays the grown edges out as the CSR adjacency grown_arcs_ over
+     *  the touched nodes, each node's arcs in grown_edges_ order. */
+    void BuildGrownAdjacency();
+
+    /** Grown arcs at touched node `node`. */
+    std::span<const Arc> GrownArcs(int node) const
+    {
+        return {grown_arcs_.data() + grown_begin_[node],
+                static_cast<size_t>(grown_degree_[node])};
+    }
 
     /** Spanning-forest builders over the grown edges: unweighted BFS
      *  over every touched node (the PR-5 baseline) or most-probable-path
@@ -174,23 +180,16 @@ class UnionFindDecoder
     void BuildBfsForest();
     void BuildWeightedForest(std::span<const int> syndrome);
 
+    /** Correlated stage 2 over the peel's used edges; returns the XOR of
+     *  the claiming entries' residuals. */
+    std::uint32_t ApplyStage2();
+
     /** Restores all touched scratch to its idle state; called on every
      *  exit path of the decode core (including the throwing one). */
     void ResetScratch();
 
-    /** DEM edges at detector `node`, in DEM order. */
-    std::span<const std::int32_t> Incident(int node) const
-    {
-        return {incident_edges_.data() + incident_off_[node],
-                incident_edges_.data() + incident_off_[node + 1]};
-    }
-
-    int num_detectors_ = 0;
-    std::vector<Edge> edges_;
-    /** Adjacency (CSR): detector i's edge indices are
-     *  incident_edges_[incident_off_[i] .. incident_off_[i + 1]). */
-    std::vector<std::int32_t> incident_off_;
-    std::vector<std::int32_t> incident_edges_;
+    std::shared_ptr<const DecodingGraph> graph_;
+    bool stage2_ = false;
 
     // Scratch, reused across Decode/DecodeBatch calls. Everything is
     // reset via touched_nodes_ / grown_edges_, so a decode costs
@@ -204,38 +203,36 @@ class UnionFindDecoder
     std::vector<std::int32_t> touched_nodes_;
     std::vector<std::int32_t> grown_edges_;
     std::vector<std::int32_t> frontier_scratch_;
-    std::vector<std::vector<std::int32_t>> grown_adj_;
+    /** Grown adjacency (CSR over touched nodes): node i's arcs are
+     *  grown_arcs_[grown_begin_[i] .. + grown_degree_[i]). Boundary
+     *  arcs count towards the degree. */
+    std::vector<std::int32_t> grown_degree_;
+    std::vector<std::int32_t> grown_begin_;
+    std::vector<Arc> grown_arcs_;
     std::vector<std::int32_t> order_;
     std::vector<std::int32_t> parent_edge_;
     std::vector<char> visited_;
     /** BatchOutcome work counters, accumulated by every decode. */
     std::int64_t work_grown_edges_ = 0;
     std::int64_t work_forest_nodes_ = 0;
+    std::int64_t work_stage2_claims_ = 0;
 
-    // Weighted-forest tables and scratch (edge_weight_ empty and heap_
-    // unused when Options::correlated is false).
-    bool weighted_ = false;
-    std::vector<double> edge_weight_;  ///< -log p, clamped
+    // Weighted-forest scratch (unused when Options::correlated is false).
+    // A node's best heap entry in the current search is valid while its
+    // best_search_ equals search_ (searches count from 1 in each decode).
     std::vector<HeapEntry> heap_;
+    std::vector<double> best_dist_;
+    std::vector<std::int32_t> best_pe_;
+    std::vector<std::int32_t> best_search_;
+    std::int32_t search_ = 0;
 
-    // Correlated stage-2 tables, built once at construction (all empty
-    // when Options::correlated is false or no entry wins arbitration).
-    // Entries are stored in priority order: descending mechanism
-    // probability, ties broken by decomposition edge set.
-    bool stage2_ = false;
-    std::vector<std::int32_t> hyper_off_;        ///< CSR into hyper_edge_list_
-    std::vector<std::int32_t> hyper_edge_list_;  ///< sorted edge indices
-    std::vector<std::uint32_t> hyper_residual_;  ///< obs XOR to re-apply
-    std::vector<std::int32_t> hyper_mech_;       ///< dense mechanism id
-    std::vector<std::vector<std::int32_t>> edge_hyper_;  ///< edge -> entries
-
-    // Correlated stage-2 scratch, reset via used_edges_ / hyper_cands_ /
-    // mechs_claimed_ in ResetScratch.
+    // Correlated stage-2 scratch, reset via used_edges_ / mechs_claimed_
+    // in ResetScratch.
     std::vector<char> edge_used_;
     std::vector<char> edge_claimed_;
     std::vector<std::int32_t> used_edges_;
-    std::vector<char> hyper_seen_;
-    std::vector<std::int32_t> hyper_cands_;
+    std::vector<std::int32_t> entry_hits_;  ///< used edges per entry
+    std::vector<std::int32_t> covered_;     ///< entries with every edge used
     std::vector<char> mech_claimed_;
     std::vector<std::int32_t> mechs_claimed_;
 

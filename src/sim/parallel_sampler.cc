@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -114,16 +113,15 @@ ParallelSampler::Sample(std::int64_t shots)
 }
 
 LerShardRun::LerShardRun(const NoisyCircuit& circuit,
-                         const DetectorErrorModel& dem,
+                         std::shared_ptr<const decoder::DecodingGraph> graph,
                          const ParallelSamplerOptions& options,
                          std::int64_t max_shots,
                          std::int64_t target_logical_errors)
     : circuit_(&circuit),
-      dem_(&dem),
+      graph_(std::move(graph)),
       seed_(options.seed),
       shard_shots_(ResolveShardShots(options.shard_shots)),
       decode_path_(options.decode_path),
-      correlated_(options.correlated),
       max_shots_(max_shots),
       target_logical_errors_(target_logical_errors),
       // A non-positive target means "no early stop": without this, the
@@ -292,11 +290,10 @@ RunLerShards(int num_threads, const std::vector<LerShardRun*>& runs)
     }
     std::atomic<size_t> cursor{0};
     RunWorkers(ResolveWorkerThreads(num_threads), total_shards, [&]() {
-        // Per-worker decoders, one per run this worker has touched:
-        // decode scratch never crosses threads, and a worker sticks with
-        // a run while it has claimable shards before rotating on
-        // (cache-friendly interleave).
-        std::map<size_t, decoder::UnionFindDecoder> decoders;
+        // A worker sticks with a run while it has claimable shards before
+        // rotating on (cache-friendly interleave). Its decoder is scratch
+        // over the run's shared graph, so decode scratch never crosses
+        // threads and nothing is re-arbitrated per worker.
         const size_t m = runs.size();
         const size_t offset =
             cursor.fetch_add(1, std::memory_order_relaxed) % m;
@@ -309,12 +306,7 @@ RunLerShards(int num_threads, const std::vector<LerShardRun*>& runs)
                     continue;
                 }
                 try {
-                    decoder::UnionFindDecoder& uf =
-                        decoders
-                            .try_emplace(i, *run.dem_,
-                                         decoder::UnionFindDecoder::Options{
-                                             run.correlated_})
-                            .first->second;
+                    decoder::UnionFindDecoder uf(run.graph_);
                     while (run.RunOneShard(uf)) {
                         progressed = true;
                     }
@@ -338,8 +330,11 @@ ParallelSampler::EstimateLogicalErrors(const DetectorErrorModel& dem,
     if (max_shots <= 0) {
         return LogicalErrorEstimate{};
     }
-    LerShardRun run(*circuit_, dem, options_, max_shots,
-                    target_logical_errors);
+    LerShardRun run(*circuit_,
+                    std::make_shared<const decoder::DecodingGraph>(
+                        dem, decoder::DecodingGraph::Options{
+                                 options_.correlated}),
+                    options_, max_shots, target_logical_errors);
     RunLerShards(options_.num_threads, {&run});
     if (run.failure()) {
         std::rethrow_exception(run.failure());

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <exception>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "sim/noisy_circuit.h"
 
 namespace tiqec::decoder {
+class DecodingGraph;
 class UnionFindDecoder;
 }  // namespace tiqec::decoder
 
@@ -101,9 +103,12 @@ class LerShardRun;
  * many runs interleave on one pool (the no-nested-pools rule,
  * DESIGN.md §4.3). Each run's totals are bit-identical to running it
  * alone at any width: its shard streams and in-order commit are its
- * own. A shard exception (e.g. a decode failure) is recorded on its
- * run (`LerShardRun::failure`), which stops claiming shards; the other
- * runs proceed. Returns once every run is finished or failed.
+ * own. Every worker on a run decodes on the run's one read-only graph
+ * with its own scratch (`decoder::UnionFindDecoder`), built when the
+ * worker turns to the run. A shard exception (e.g. a decode failure)
+ * is recorded on its run (`LerShardRun::failure`), which stops
+ * claiming shards; the other runs proceed. Returns once every run is
+ * finished or failed.
  */
 void RunLerShards(int num_threads, const std::vector<LerShardRun*>& runs);
 
@@ -119,13 +124,16 @@ class LerShardRun
     /**
      * @param circuit Noisy experiment; must outlive the run and have at
      *   least one logical observable (throws std::invalid_argument).
-     * @param dem Detector error model of `circuit`; must outlive the
-     *   run. The driver's decoders are built from it.
-     * @param options Sampler options; `num_threads` is ignored (the
-     *   driver owns the threads), the rest define the shard streams
-     *   exactly as in `ParallelSampler`.
+     * @param graph Decoding graph of `circuit`'s DEM, shared read-only by
+     *   every worker that decodes this run's shards. Its options (not
+     *   `options.correlated`) choose the decoder.
+     * @param options Sampler options; `num_threads` and `correlated` are
+     *   ignored (RunLerShards owns the threads, the graph the decoder),
+     *   the rest define the shard streams exactly as in
+     *   `ParallelSampler`.
      */
-    LerShardRun(const NoisyCircuit& circuit, const DetectorErrorModel& dem,
+    LerShardRun(const NoisyCircuit& circuit,
+                std::shared_ptr<const decoder::DecodingGraph> graph,
                 const ParallelSamplerOptions& options,
                 std::int64_t max_shots, std::int64_t target_logical_errors);
 
@@ -160,8 +168,8 @@ class LerShardRun
 
     /**
      * Claims the next shard and runs it to its commit: simulate with the
-     * shard's counter-based RNG stream, decode with `decoder` (built
-     * from `dem_`; per-worker, so decode scratch never crosses threads),
+     * shard's counter-based RNG stream, decode with `decoder` (on
+     * `graph_`; per-worker, so decode scratch never crosses threads),
      * and fold the outcome into the in-order commit state. Safe to call
      * concurrently.
      * @return false if nothing was claimable (budget exhausted, target
@@ -174,11 +182,10 @@ class LerShardRun
     void Fail(std::exception_ptr error);
 
     const NoisyCircuit* circuit_;
-    const DetectorErrorModel* dem_;
+    std::shared_ptr<const decoder::DecodingGraph> graph_;
     std::uint64_t seed_;
     int shard_shots_;
     DecodePath decode_path_;
-    bool correlated_;
     std::int64_t max_shots_;
     std::int64_t target_logical_errors_;
     bool has_target_;
@@ -219,10 +226,11 @@ class ParallelSampler
 
     /**
      * Samples shards and decodes each with a per-worker
-     * decoder::UnionFindDecoder built from `dem`, until the committed
-     * shard prefix reaches `target_logical_errors` or the shot budget
-     * `max_shots` is exhausted, whichever comes first. A non-positive
-     * target disables early stopping (the full budget is sampled).
+     * decoder::UnionFindDecoder on one decoding graph built from `dem`
+     * (options.correlated), until the committed shard prefix reaches
+     * `target_logical_errors` or the shot budget `max_shots` is
+     * exhausted, whichever comes first. A non-positive target disables
+     * early stopping (the full budget is sampled).
      * Decoding runs the word-parallel batch pipeline unless the options
      * selected DecodePath::kScalar; the counts are bit-identical either
      * way. A one-run `RunLerShards` call: a shard exception (e.g. a

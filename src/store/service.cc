@@ -84,6 +84,7 @@ RunSweepService(const std::string& request_text,
     summary.Add("compiles", result.stats.compiles);
     summary.Add("annotates", result.stats.annotates);
     summary.Add("sim_builds", result.stats.sim_builds);
+    summary.Add("decoder_builds", result.stats.decoder_builds);
     summary.Add("store_hits", result.stats.store_hits);
     summary.Add("store_misses", result.stats.store_misses);
     summary.Add("store_corrupt", result.stats.store_corrupt);

@@ -436,6 +436,8 @@ TEST(GoldenDecodeTest, PredictionDigestsArePinned)
          0xba37b0bc17ecaf3aULL},
         {"family=rotated distance=5 topology=linear capacity=3",
          0x1dbd0ac9dfd385c4ULL},
+        {"family=rotated distance=5 topology=linear capacity=2",
+         0xdb8b521f22d6c5f9ULL},
         {"family=merged_zz distance=3 topology=grid capacity=2 "
          "workload=surgery",
          0xafd87b3cb8d9ec84ULL},
@@ -462,19 +464,40 @@ TEST(GoldenDecodeTest, PredictionDigestsArePinned)
     }
 }
 
-/** DecodeBatch's deterministic work counters on the d=5 1X memory batch:
- *  growth is unchanged by forest optimisations, and the forest settles
- *  only the nodes the peel can use. */
+/** DecodeBatch's deterministic work counters on the d=5 1X memory batch
+ *  (no active stage-2 entry) and on the densest stage-2 DEM, d=5 linear
+ *  capacity 2: growth is unchanged by forest optimisations, the forest
+ *  settles only the nodes the peel can use, and stage 2 claims the same
+ *  entries however it finds them. */
 TEST(GoldenDecodeTest, WorkCountersArePinned)
 {
-    const auto sim =
-        SimArtifactsFor("family=rotated distance=5 topology=grid capacity=2");
-    ASSERT_NE(sim, nullptr);
-    UnionFindDecoder::BatchOutcome outcome;
-    PredictionDigest(*sim, 0x601D, &outcome);
-    EXPECT_EQ(outcome.decoded_shots, 7873);
-    EXPECT_EQ(outcome.grown_edges, 295905);
-    EXPECT_EQ(outcome.forest_nodes, 80241);
+    struct Pin
+    {
+        const char* line;
+        std::int64_t decoded_shots;
+        std::int64_t grown_edges;
+        std::int64_t forest_nodes;
+        std::int64_t stage2_claims;
+    };
+    const Pin pins[] = {
+        {"family=rotated distance=5 topology=grid capacity=2", 7873, 295905,
+         80241, 0},
+        {"family=rotated distance=5 topology=linear capacity=2", 8192,
+         1891546, 796014, 67},
+        {"family=merged_zz distance=3 topology=grid capacity=2 "
+         "workload=surgery",
+         6549, 118241, 29627, 260},
+    };
+    for (const Pin& pin : pins) {
+        const auto sim = SimArtifactsFor(pin.line);
+        ASSERT_NE(sim, nullptr) << pin.line;
+        UnionFindDecoder::BatchOutcome outcome;
+        PredictionDigest(*sim, 0x601D, &outcome);
+        EXPECT_EQ(outcome.decoded_shots, pin.decoded_shots) << pin.line;
+        EXPECT_EQ(outcome.grown_edges, pin.grown_edges) << pin.line;
+        EXPECT_EQ(outcome.forest_nodes, pin.forest_nodes) << pin.line;
+        EXPECT_EQ(outcome.stage2_claims, pin.stage2_claims) << pin.line;
+    }
 }
 
 TEST(LogicalErrorTest, SuppressionWithDistance)

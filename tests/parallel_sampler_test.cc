@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "compiler/compiler.h"
 #include "core/toolflow.h"
+#include "decoder/decoding_graph.h"
 #include "noise/annotator.h"
 #include "qec/code.h"
 #include "sim/dem.h"
@@ -287,10 +289,16 @@ TEST(ParallelSamplerTest, RunLerShardsIsolatesFailingRun)
     const LogicalErrorEstimate solo =
         solo_sampler.EstimateLogicalErrors(dem, 1 << 14, 50);
     ASSERT_GT(solo.logical_errors, 0);
+    const auto graph_of = [](const DetectorErrorModel& d) {
+        return std::make_shared<const decoder::DecodingGraph>(
+            d, decoder::DecodingGraph::Options{});
+    };
+    const auto graph = graph_of(dem);
+    const auto boundaryless_graph = graph_of(boundaryless);
     for (const int threads : {1, 2, 8}) {
-        LerShardRun healthy(circuit, dem, Opts(threads), 1 << 14, 50);
-        LerShardRun broken(circuit, boundaryless, Opts(threads), 1 << 14,
-                           1 << 30);
+        LerShardRun healthy(circuit, graph, Opts(threads), 1 << 14, 50);
+        LerShardRun broken(circuit, boundaryless_graph, Opts(threads),
+                           1 << 14, 1 << 30);
         RunLerShards(threads, {&broken, &healthy});
         EXPECT_FALSE(healthy.failure()) << threads << " threads";
         const LogicalErrorEstimate got = healthy.Finish();

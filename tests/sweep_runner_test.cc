@@ -247,6 +247,62 @@ TEST(SweepRunnerTest, SharedArtifactsAcrossSeedReplicasStayIndependent)
               outcomes[1].metrics.logical_errors);
 }
 
+TEST(SweepRunnerTest, OneDecodingGraphPerSimKeyAndCorrelatedFlag)
+{
+    // Two equal-content codes (distinct objects, different seeds) share
+    // one sim key and so one decoding graph; the same point decoded
+    // plain needs a second; another distance a third. Candidates that
+    // sample nothing build none. Many small shards per run make several
+    // workers decode one run on its shared graph at once.
+    std::vector<SweepCandidate> candidates;
+    const auto add = [&](int d, std::uint64_t seed, bool correlated,
+                         std::int64_t shots) {
+        SweepCandidate c;
+        c.code = qec::MakeCode("rotated", d);
+        c.arch.gate_improvement = 1.0;
+        c.options.max_shots = shots;
+        c.options.target_logical_errors = 0;
+        c.options.shard_shots = 256;
+        c.options.seed = seed;
+        c.options.correlated = correlated;
+        candidates.push_back(std::move(c));
+    };
+    add(3, 1, true, 1 << 12);
+    add(3, 2, true, 1 << 12);
+    add(3, 1, false, 1 << 12);
+    add(5, 1, true, 1 << 11);
+    add(5, 1, false, 0);
+    candidates.back().options.compile_only = true;
+    add(3, 3, false, 0);
+    const std::int64_t distinct_graphs = 3;
+
+    std::vector<Metrics> first;
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("pool width " + std::to_string(threads));
+        SweepRunnerOptions opts;
+        opts.num_threads = threads;
+        SweepRunner runner(opts);
+        const std::vector<Metrics> swept = runner.Run(candidates);
+        EXPECT_EQ(runner.last_run_stats().decoder_builds, distinct_graphs);
+        ASSERT_EQ(swept.size(), candidates.size());
+        for (const Metrics& m : swept) {
+            EXPECT_TRUE(m.ok) << m.error;
+        }
+        EXPECT_GT(swept[0].logical_errors, 0);
+        EXPECT_NE(swept[0].logical_errors, swept[1].logical_errors);
+        if (first.empty()) {
+            first = swept;
+            continue;
+        }
+        for (size_t i = 0; i < swept.size(); ++i) {
+            SCOPED_TRACE("candidate " + std::to_string(i));
+            ExpectBitIdentical(first[i], swept[i]);
+            EXPECT_EQ(first[i].per_observable_errors,
+                      swept[i].per_observable_errors);
+        }
+    }
+}
+
 TEST(SweepRunnerTest, LargeDistanceCandidatesRunEndToEnd)
 {
     // d=7 and d=9 candidates through the full pipeline — compile, noise
