@@ -15,10 +15,12 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -338,19 +340,45 @@ BatchErrors(decoder::UnionFindDecoder& decoder,
     return errors;
 }
 
-/** Best-of-`reps` wall-clock shots/sec of `body` over `shots` shots. */
-template <typename Body>
-double
-ShotsPerSec(int shots, int reps, Body&& body)
+/**
+ * Best-of-`reps` wall-clock shots/sec of each decode path over `shots`
+ * shots. Each timed sample repeats its path often enough to last at
+ * least 20 ms (fast configs decode a batch in well under a millisecond,
+ * where one preemption decides the sample). The paths are timed
+ * round-robin, one sample of each per round, so a burst of contention on
+ * a loaded host lands on every path of a config alike instead of skewing
+ * one path's ratio to the legacy baseline, and each path gets `reps`
+ * chances at a quiet slot.
+ */
+std::array<double, 4>
+ShotsPerSec(int shots, int reps,
+            const std::array<std::function<void()>, 4>& paths)
 {
-    double best = 0.0;
+    using Clock = std::chrono::steady_clock;
+    const auto seconds = [](Clock::time_point t0, Clock::time_point t1) {
+        return std::chrono::duration<double>(t1 - t0).count();
+    };
+    constexpr double kMinSampleSec = 0.02;
+    std::array<int, 4> repeats{};
+    for (size_t p = 0; p < paths.size(); ++p) {
+        const auto t0 = Clock::now();
+        paths[p]();
+        const double sec = seconds(t0, Clock::now());
+        repeats[p] = sec >= kMinSampleSec
+                         ? 1
+                         : static_cast<int>(kMinSampleSec / sec) + 1;
+    }
+    std::array<double, 4> best{};
     for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double sec =
-            std::chrono::duration<double>(t1 - t0).count();
-        best = std::max(best, shots / sec);
+        for (size_t p = 0; p < paths.size(); ++p) {
+            const auto t0 = Clock::now();
+            for (int k = 0; k < repeats[p]; ++k) {
+                paths[p]();
+            }
+            const double sec = seconds(t0, Clock::now());
+            best[p] = std::max(best[p],
+                               static_cast<double>(shots) * repeats[p] / sec);
+        }
     }
     return best;
 }
@@ -368,7 +396,11 @@ struct Config
 void
 PrintThroughputTable()
 {
-    const int reps = 3;
+    // Best of 9 interleaved samples of >= 20 ms: best-of-3 single
+    // batches, timed one path after another, let contention on a loaded
+    // 4-core host move single configs' path/legacy ratios by a third
+    // between back-to-back runs.
+    const int reps = 9;
     std::vector<Config> configs;
     for (const int d : {3, 5}) {
         for (const double improvement : {1.0, 3.0, 10.0}) {
@@ -436,24 +468,25 @@ PrintThroughputTable()
                         static_cast<long long>(scalar_errors),
                         static_cast<long long>(batch_errors));
         }
-        const double legacy_tput =
-            ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(
-                    LegacyErrors(legacy_decoder, w.batch));
-            });
-        const double scalar_tput =
-            ShotsPerSec(shots, reps, [&]() {
-                benchmark::DoNotOptimize(
-                    ScalarErrors(scalar_decoder, w.batch));
-            });
-        const double batch_tput = ShotsPerSec(shots, reps, [&]() {
-            benchmark::DoNotOptimize(
-                BatchErrors(batch_decoder, w.batch, predictions));
-        });
-        const double corr_tput = ShotsPerSec(shots, reps, [&]() {
-            benchmark::DoNotOptimize(BatchErrors(
-                corr_decoder, w.batch, corr_predictions));
-        });
+        const auto [legacy_tput, scalar_tput, batch_tput, corr_tput] =
+            ShotsPerSec(
+                shots, reps,
+                {[&]() {
+                     benchmark::DoNotOptimize(
+                         LegacyErrors(legacy_decoder, w.batch));
+                 },
+                 [&]() {
+                     benchmark::DoNotOptimize(
+                         ScalarErrors(scalar_decoder, w.batch));
+                 },
+                 [&]() {
+                     benchmark::DoNotOptimize(
+                         BatchErrors(batch_decoder, w.batch, predictions));
+                 },
+                 [&]() {
+                     benchmark::DoNotOptimize(BatchErrors(
+                         corr_decoder, w.batch, corr_predictions));
+                 }});
         const double frac =
             static_cast<double>(w.batch.CountNonTrivialShots()) /
             shots;

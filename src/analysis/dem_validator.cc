@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -61,11 +61,48 @@ ProbabilityOk(double p)
     return std::isfinite(p) && p > 0.0 && p < 1.0;
 }
 
+/** 0 <= d0 < d1 < n, or d1 = boundary. */
+bool
+CanonicalEndpoints(const DemEdge& e, int num_detectors)
+{
+    return e.d0 >= 0 && e.d0 < num_detectors &&
+           (e.d1 == DemEdge::kBoundary ||
+            (e.d1 > e.d0 && e.d1 < num_detectors));
+}
+
+/** Flags every canonical edge whose endpoints repeat those of an
+ *  earlier canonical edge: one sort of (endpoints, index) pairs, where
+ *  each run of equal endpoints starts at its first edge. */
+std::vector<char>
+RepeatedEndpoints(const DetectorErrorModel& dem)
+{
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+    keyed.reserve(dem.edges.size());
+    for (size_t i = 0; i < dem.edges.size(); ++i) {
+        const DemEdge& e = dem.edges[i];
+        if (CanonicalEndpoints(e, dem.num_detectors)) {
+            keyed.emplace_back(
+                static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.d0))
+                        << 32 |
+                    static_cast<std::uint32_t>(e.d1),
+                static_cast<std::uint32_t>(i));
+        }
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<char> repeated(dem.edges.size(), 0);
+    for (size_t k = 1; k < keyed.size(); ++k) {
+        if (keyed[k].first == keyed[k - 1].first) {
+            repeated[keyed[k].second] = 1;
+        }
+    }
+    return repeated;
+}
+
 void
 CheckEdges(const DetectorErrorModel& dem, Reporter& report)
 {
     const int nd = dem.num_detectors;
-    std::set<std::pair<int, int>> seen;
+    const std::vector<char> repeated = RepeatedEndpoints(dem);
     for (size_t i = 0; i < dem.edges.size(); ++i) {
         const DemEdge& e = dem.edges[i];
         if (!ProbabilityOk(e.p)) {
@@ -74,10 +111,7 @@ CheckEdges(const DetectorErrorModel& dem, Reporter& report)
             report.Report(kRuleDemProbabilityRange, EdgeLocation(i),
                           os.str());
         }
-        const bool d0_ok = e.d0 >= 0 && e.d0 < nd;
-        const bool d1_ok =
-            e.d1 == DemEdge::kBoundary || (e.d1 > e.d0 && e.d1 < nd);
-        if (!d0_ok || !d1_ok) {
+        if (!CanonicalEndpoints(e, nd)) {
             std::ostringstream os;
             os << "endpoints (" << e.d0 << ", " << e.d1
                << ") not canonical for " << nd
@@ -85,7 +119,7 @@ CheckEdges(const DetectorErrorModel& dem, Reporter& report)
             report.Report(kRuleDemDetectorRange, EdgeLocation(i), os.str());
             continue;
         }
-        if (!seen.insert({e.d0, e.d1}).second) {
+        if (repeated[i]) {
             std::ostringstream os;
             os << "second edge with endpoints (" << e.d0 << ", " << e.d1
                << "); parallel edges must be coalesced or demoted";
@@ -99,6 +133,10 @@ CheckHyperedges(const DetectorErrorModel& dem, Reporter& report)
 {
     const int nd = dem.num_detectors;
     const int ne = static_cast<int>(dem.edges.size());
+    // Per-detector cover counts of the decomposition under test, and the
+    // detectors it touched (reset after every hyperedge).
+    std::vector<int> cover(static_cast<size_t>(std::max(nd, 0)), 0);
+    std::vector<int> touched;
     int last_mechanism = -1;
     for (size_t i = 0; i < dem.hyperedges.size(); ++i) {
         const DemHyperedge& h = dem.hyperedges[i];
@@ -135,34 +173,37 @@ CheckHyperedges(const DetectorErrorModel& dem, Reporter& report)
         }
         // The decomposition must tile the signature: every referenced
         // edge exists, and the edges' non-boundary endpoints cover each
-        // signature detector exactly once.
-        std::map<int, int> covered;
+        // signature detector exactly once. The signature is in range, so
+        // an out-of-range endpoint can never tile it.
+        const auto cover_endpoint = [&](int d) {
+            if (d < 0 || d >= nd) {
+                return false;
+            }
+            if (cover[static_cast<size_t>(d)]++ == 0) {
+                touched.push_back(d);
+            }
+            return true;
+        };
         bool edges_ok = !h.edges.empty();
-        for (size_t j = 0; j < h.edges.size(); ++j) {
+        for (size_t j = 0; j < h.edges.size() && edges_ok; ++j) {
             const int e = h.edges[j];
-            if (e < 0 || e >= ne ||
-                (j > 0 && h.edges[j] <= h.edges[j - 1])) {
-                edges_ok = false;
-                break;
-            }
-            ++covered[dem.edges[e].d0];
-            if (dem.edges[e].d1 != DemEdge::kBoundary) {
-                ++covered[dem.edges[e].d1];
-            }
+            edges_ok = e >= 0 && e < ne && (j == 0 || e > h.edges[j - 1]) &&
+                       cover_endpoint(dem.edges[e].d0) &&
+                       (dem.edges[e].d1 == DemEdge::kBoundary ||
+                        cover_endpoint(dem.edges[e].d1));
         }
         if (edges_ok) {
-            if (covered.size() != h.dets.size()) {
-                edges_ok = false;
-            } else {
-                for (const int d : h.dets) {
-                    const auto it = covered.find(d);
-                    if (it == covered.end() || it->second != 1) {
-                        edges_ok = false;
-                        break;
-                    }
-                }
-            }
+            edges_ok = touched.size() == h.dets.size() &&
+                       std::all_of(h.dets.begin(), h.dets.end(),
+                                   [&cover](int d) {
+                                       return cover[static_cast<size_t>(d)] ==
+                                              1;
+                                   });
         }
+        for (const int d : touched) {
+            cover[static_cast<size_t>(d)] = 0;
+        }
+        touched.clear();
         if (!edges_ok) {
             report.Report(kRuleDemHyperedgeEdges, HyperedgeLocation(i),
                           "decomposition is not a sorted list of existing "
@@ -336,22 +377,24 @@ CheckLogicalOperators(const DetectorErrorModel& dem, Reporter& report)
     const std::uint32_t valid_mask =
         no >= 32 ? ~0u : (1u << static_cast<unsigned>(std::max(no, 0))) - 1u;
     std::vector<int> support(static_cast<size_t>(std::max(no, 0)), 0);
-    const auto account = [&](std::uint32_t obs_mask,
-                             const std::string& location) {
+    // `location` formats the element's name; it runs only to report.
+    const auto account = [&](std::uint32_t obs_mask, const auto& location) {
         if ((obs_mask & ~valid_mask) != 0) {
             std::ostringstream os;
             os << "observable mask 0x" << std::hex << obs_mask << std::dec
                << " has bits beyond the model's " << no << " observables";
-            report.Report(kRuleDemLogicalOperator, location, os.str());
+            report.Report(kRuleDemLogicalOperator, location(), os.str());
         }
-        for (int o = 0; o < no; ++o) {
+        // A 32-bit mask acts on observables 0..31 only (and shifting it
+        // by 32 or more is undefined).
+        for (int o = 0; o < std::min(no, 32); ++o) {
             if (obs_mask >> o & 1u) {
                 ++support[static_cast<size_t>(o)];
             }
         }
     };
     for (size_t i = 0; i < dem.edges.size(); ++i) {
-        account(dem.edges[i].obs_mask, EdgeLocation(i));
+        account(dem.edges[i].obs_mask, [i] { return EdgeLocation(i); });
     }
     int last_mechanism = -1;
     for (size_t i = 0; i < dem.hyperedges.size(); ++i) {
@@ -359,7 +402,8 @@ CheckLogicalOperators(const DetectorErrorModel& dem, Reporter& report)
             continue;  // later variant of the same mechanism
         }
         last_mechanism = dem.hyperedges[i].mechanism;
-        account(dem.hyperedges[i].obs_mask, HyperedgeLocation(i));
+        account(dem.hyperedges[i].obs_mask,
+                [i] { return HyperedgeLocation(i); });
     }
     for (int o = 0; o < no; ++o) {
         if (support[static_cast<size_t>(o)] != 0) {

@@ -76,7 +76,17 @@ ReadFile(const std::string& path, std::string* content, std::string* error)
         }
         return false;
     }
+    // Read straight into the string, sized from the file up front, then
+    // append whatever a file that grew meanwhile still holds.
     content->clear();
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        const long size = std::ftell(f);
+        if (size > 0) {
+            content->resize(static_cast<size_t>(size));
+        }
+        std::rewind(f);
+    }
+    content->resize(std::fread(content->data(), 1, content->size(), f));
     char buf[1 << 16];
     size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {

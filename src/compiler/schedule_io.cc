@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/text_format.h"
@@ -28,7 +29,7 @@ constexpr std::array<qccd::OpKind, 10> kAllOpKinds = {
 };
 
 qccd::OpKind
-OpKindFromName(const std::string& name, const std::string& line)
+OpKindFromName(std::string_view name, std::string_view line)
 {
     for (const qccd::OpKind kind : kAllOpKinds) {
         if (qccd::OpKindName(kind) == name) {
@@ -36,19 +37,20 @@ OpKindFromName(const std::string& name, const std::string& line)
         }
     }
     throw std::invalid_argument("ParseScheduleCsv: unknown op kind '" +
-                                name + "' in line: " + line);
+                                std::string(name) +
+                                "' in line: " + std::string(line));
 }
 
 std::int32_t
-ParseInt(const std::string& field, const std::string& line)
+ParseInt(std::string_view field, std::string_view line)
 {
-    return text::ParseInt32(field, "line: " + line);
+    return text::ParseInt32(field, text::Context("line: ", line));
 }
 
 double
-ParseDouble(const std::string& field, const std::string& line)
+ParseDouble(std::string_view field, std::string_view line)
 {
-    return text::ParseDouble(field, "line: " + line);
+    return text::ParseDouble(field, text::Context("line: ", line));
 }
 
 }  // namespace
@@ -78,43 +80,45 @@ ScheduleCsv(const Schedule& schedule)
 }
 
 Schedule
-ParseScheduleCsv(std::istream& is)
+ParseScheduleCsv(std::string_view csv)
 {
-    std::string line;
-    if (!std::getline(is, line)) {
+    text::LineCursor in(csv);
+    std::string_view line;
+    // The cursor drops the trailing '\r' of CRLF input (git autocrlf /
+    // Windows checkout) before the header compare and before the last
+    // field of each row, or the header check fails and the trailing
+    // source_gate field parses as corrupt.
+    if (!in.Next(&line)) {
         throw std::invalid_argument("ParseScheduleCsv: empty input");
     }
-    // CRLF input (git autocrlf / Windows checkout) reaches us with a
-    // trailing '\r' on every line; strip it before the header compare
-    // and before the last field of each row, or the header check fails
-    // and the trailing nbar field parses as corrupt.
-    text::StripCr(line);
     if (line != kCsvHeader) {
         throw std::invalid_argument(
-            "ParseScheduleCsv: missing or unexpected header: " + line);
+            "ParseScheduleCsv: missing or unexpected header: " +
+            std::string(line));
     }
     Schedule schedule;
     std::int32_t max_pass = -1;
-    while (std::getline(is, line)) {
-        text::StripCr(line);
+    std::vector<std::string_view> fields;
+    while (in.Next(&line)) {
         if (line.empty()) {
             continue;
         }
         // SplitFields preserves empty fields, so a row ending in ',' is
         // reported as a field-count error rather than silently losing
         // its trailing field the way a getline(',') loop does.
-        const std::vector<std::string> fields =
-            text::SplitFields(line, ',');
+        text::SplitFields(line, ',', &fields);
         if (fields.size() != kNumFields) {
             throw std::invalid_argument(
                 "ParseScheduleCsv: expected " +
                 std::to_string(kNumFields) + " fields, got " +
-                std::to_string(fields.size()) + " in line: " + line);
+                std::to_string(fields.size()) +
+                " in line: " + std::string(line));
         }
         const std::int32_t index = ParseInt(fields[0], line);
         if (index != static_cast<std::int32_t>(schedule.ops.size())) {
             throw std::invalid_argument(
-                "ParseScheduleCsv: out-of-order index in line: " + line);
+                "ParseScheduleCsv: out-of-order index in line: " +
+                std::string(line));
         }
         TimedOp t;
         t.op.pass = ParseInt(fields[1], line);
@@ -134,13 +138,6 @@ ParseScheduleCsv(std::istream& is)
     schedule.RecomputeStats();
     schedule.num_passes = max_pass + 1;
     return schedule;
-}
-
-Schedule
-ParseScheduleCsv(const std::string& csv)
-{
-    std::istringstream is(csv);
-    return ParseScheduleCsv(is);
 }
 
 std::string

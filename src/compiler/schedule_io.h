@@ -13,9 +13,9 @@
 #ifndef TIQEC_COMPILER_SCHEDULE_IO_H
 #define TIQEC_COMPILER_SCHEDULE_IO_H
 
-#include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "compiler/schedule.h"
 
@@ -44,10 +44,7 @@ std::string ScheduleCsv(const Schedule& schedule);
  * @throws std::invalid_argument on a malformed header, row, field, or
  *   unknown op kind (the offending line is quoted).
  */
-Schedule ParseScheduleCsv(std::istream& is);
-
-/** String-input convenience overload. */
-Schedule ParseScheduleCsv(const std::string& csv);
+Schedule ParseScheduleCsv(std::string_view csv);
 
 /**
  * Per-pass summary: pass index, time window, gate and movement op

@@ -1,7 +1,8 @@
 #include "noise/profile_io.h"
 
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "common/text_format.h"
 
@@ -29,43 +30,43 @@ FormatNoiseProfile(const RoundNoiseProfile& profile)
     out += kHeader;
     out += '\n';
     out += "round ";
-    out += text::ExactDouble(profile.round_time);
+    text::AppendExactDouble(out, profile.round_time);
     out += ' ';
-    out += text::ExactDouble(profile.mean_two_qubit_error);
+    text::AppendExactDouble(out, profile.mean_two_qubit_error);
     out += ' ';
-    out += text::ExactDouble(profile.max_two_qubit_error);
+    text::AppendExactDouble(out, profile.max_two_qubit_error);
     out += '\n';
     out += "gates ";
-    out += std::to_string(profile.gate_noise.size());
+    text::AppendInt(out, profile.gate_noise.size());
     out += '\n';
     for (const GateNoise& g : profile.gate_noise) {
         out += "g ";
-        out += text::ExactDouble(g.p_pair);
+        text::AppendExactDouble(out, g.p_pair);
         out += ' ';
-        out += text::ExactDouble(g.p_q0);
+        text::AppendExactDouble(out, g.p_q0);
         out += ' ';
-        out += text::ExactDouble(g.p_q1);
+        text::AppendExactDouble(out, g.p_q1);
         out += '\n';
     }
     out += "idle ";
-    out += std::to_string(profile.idle_z.size());
+    text::AppendInt(out, profile.idle_z.size());
     for (const double z : profile.idle_z) {
         out += ' ';
-        out += text::ExactDouble(z);
+        text::AppendExactDouble(out, z);
     }
     out += '\n';
     out += "swaps ";
-    out += std::to_string(profile.swaps.size());
+    text::AppendInt(out, profile.swaps.size());
     out += '\n';
     for (const SwapNoise& s : profile.swaps) {
         out += "s ";
-        out += std::to_string(s.a.value);
+        text::AppendInt(out, s.a.value);
         out += ' ';
-        out += std::to_string(s.b.value);
+        text::AppendInt(out, s.b.value);
         out += ' ';
-        out += text::ExactDouble(s.p);
+        text::AppendExactDouble(out, s.p);
         out += ' ';
-        out += std::to_string(s.after_qec_gate.value);
+        text::AppendInt(out, s.after_qec_gate.value);
         out += '\n';
     }
     return out;
@@ -74,39 +75,35 @@ FormatNoiseProfile(const RoundNoiseProfile& profile)
 namespace {
 
 void
-ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
+ParseNoiseProfileImpl(std::string_view text_in, RoundNoiseProfile* profile)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    auto next = [&in, &line]() -> bool {
-        if (!std::getline(in, line)) {
-            return false;
-        }
-        text::StripCr(line);
-        return true;
-    };
+    text::LineCursor in(text_in);
+    std::string_view line;
+    std::vector<std::string_view> fields;
 
-    if (!next() || line != kHeader) {
+    if (!in.Next(&line) || line != kHeader) {
         throw std::invalid_argument("missing 'tiqec-noise v1' header");
     }
 
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing round line");
     }
-    auto fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 4 || fields[0] != "round") {
-        throw std::invalid_argument("malformed round line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed round line", line));
     }
     profile->round_time = text::ParseDouble(fields[1], "round");
     profile->mean_two_qubit_error = text::ParseDouble(fields[2], "round");
     profile->max_two_qubit_error = text::ParseDouble(fields[3], "round");
 
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing gates line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 2 || fields[0] != "gates") {
-        throw std::invalid_argument("malformed gates line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed gates line", line));
     }
     const std::int64_t num_gates = text::ParseInt64(fields[1], "gates");
     if (num_gates < 0) {
@@ -114,14 +111,15 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
     }
     profile->gate_noise.reserve(static_cast<size_t>(num_gates));
     for (std::int64_t i = 0; i < num_gates; ++i) {
-        const std::string context = "gate " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
+        const text::Context context("gate", i);
+        if (!in.Next(&line)) {
+            throw std::invalid_argument("truncated: missing " +
+                                        context.str());
         }
-        fields = text::SplitFields(line, ' ');
+        text::SplitFields(line, ' ', &fields);
         if (fields.size() != 4 || fields[0] != "g") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
+            throw std::invalid_argument(
+                text::Quoted("malformed " + context.str(), line));
         }
         GateNoise g;
         g.p_pair = text::ParseDouble(fields[1], context);
@@ -130,12 +128,13 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
         profile->gate_noise.push_back(g);
     }
 
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing idle line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() < 2 || fields[0] != "idle") {
-        throw std::invalid_argument("malformed idle line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed idle line", line));
     }
     const std::int64_t num_idle = text::ParseInt64(fields[1], "idle");
     if (num_idle < 0 ||
@@ -148,12 +147,13 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
             text::ParseDouble(fields[2 + i], "idle"));
     }
 
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing swaps line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 2 || fields[0] != "swaps") {
-        throw std::invalid_argument("malformed swaps line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed swaps line", line));
     }
     const std::int64_t num_swaps = text::ParseInt64(fields[1], "swaps");
     if (num_swaps < 0) {
@@ -161,14 +161,15 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
     }
     profile->swaps.reserve(static_cast<size_t>(num_swaps));
     for (std::int64_t i = 0; i < num_swaps; ++i) {
-        const std::string context = "swap " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
+        const text::Context context("swap", i);
+        if (!in.Next(&line)) {
+            throw std::invalid_argument("truncated: missing " +
+                                        context.str());
         }
-        fields = text::SplitFields(line, ' ');
+        text::SplitFields(line, ' ', &fields);
         if (fields.size() != 5 || fields[0] != "s") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
+            throw std::invalid_argument(
+                text::Quoted("malformed " + context.str(), line));
         }
         SwapNoise s;
         s.a = QubitId{text::ParseInt32(fields[1], context)};
@@ -178,16 +179,16 @@ ParseNoiseProfileImpl(const std::string& text_in, RoundNoiseProfile* profile)
         profile->swaps.push_back(s);
     }
 
-    if (next() && !line.empty()) {
-        throw std::invalid_argument("trailing content after last swap: '" +
-                                    line + "'");
+    if (in.Next(&line) && !line.empty()) {
+        throw std::invalid_argument(
+            text::Quoted("trailing content after last swap", line));
     }
 }
 
 }  // namespace
 
 bool
-ParseNoiseProfile(const std::string& text, RoundNoiseProfile* profile,
+ParseNoiseProfile(std::string_view text, RoundNoiseProfile* profile,
                   std::string* error)
 {
     *profile = RoundNoiseProfile{};

@@ -10,6 +10,7 @@
 #define TIQEC_NOISE_PROFILE_IO_H
 
 #include <string>
+#include <string_view>
 
 #include "noise/annotator.h"
 
@@ -23,7 +24,7 @@ std::string FormatNoiseProfile(const RoundNoiseProfile& profile);
  * on failure returns false with a diagnostic in `*error` and leaves
  * `*profile` unspecified.
  */
-bool ParseNoiseProfile(const std::string& text, RoundNoiseProfile* profile,
+bool ParseNoiseProfile(std::string_view text, RoundNoiseProfile* profile,
                        std::string* error);
 
 }  // namespace tiqec::noise

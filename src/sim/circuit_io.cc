@@ -1,8 +1,9 @@
 #include "sim/circuit_io.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "common/text_format.h"
 
@@ -27,15 +28,49 @@ constexpr char kHeader[] = "tiqec-circuit v2";
 // drop them, so a formatted stream replayed through the same builders
 // reproduces the instruction list exactly (byte-stable round trip).
 
+/** Appends " <value>". */
+void
+SpaceInt(std::string& out, std::int64_t value)
+{
+    out += ' ';
+    text::AppendInt(out, value);
+}
+
+/** Appends " <value>" as an exact double. */
+void
+SpaceDouble(std::string& out, double value)
+{
+    out += ' ';
+    text::AppendExactDouble(out, value);
+}
+
 void
 AppendTargets(std::string& out, const std::vector<std::int32_t>& targets)
 {
-    out += ' ';
-    out += std::to_string(targets.size());
+    SpaceInt(out, static_cast<std::int64_t>(targets.size()));
     for (const std::int32_t t : targets) {
-        out += ' ';
-        out += std::to_string(t);
+        SpaceInt(out, t);
     }
+}
+
+/** The line mnemonic of a gate or channel op (not DET/OBS). */
+const char*
+Mnemonic(SimOp op)
+{
+    switch (op) {
+      case SimOp::kH: return "H";
+      case SimOp::kCnot: return "CX";
+      case SimOp::kSwap: return "SW";
+      case SimOp::kMeasure: return "M";
+      case SimOp::kReset: return "R";
+      case SimOp::kXError: return "X";
+      case SimOp::kZError: return "Z";
+      case SimOp::kDepolarize1: return "D1";
+      case SimOp::kDepolarize2: return "D2";
+      case SimOp::kDetector:
+      case SimOp::kObservableInclude: break;
+    }
+    return "?";
 }
 
 }  // namespace
@@ -45,65 +80,39 @@ FormatNoisyCircuit(const NoisyCircuit& circuit)
 {
     std::string out;
     out += kHeader;
-    out += '\n';
-    out += "qubits ";
-    out += std::to_string(circuit.num_qubits());
-    out += '\n';
-    out += "ops ";
-    out += std::to_string(circuit.instructions().size());
+    out += "\nqubits";
+    SpaceInt(out, circuit.num_qubits());
+    out += "\nops";
+    SpaceInt(out, static_cast<std::int64_t>(circuit.instructions().size()));
     out += '\n';
     for (const SimInstruction& inst : circuit.instructions()) {
-        switch (inst.op) {
-          case SimOp::kH:
-            out += "H " + std::to_string(inst.q0);
-            break;
-          case SimOp::kCnot:
-            out += "CX " + std::to_string(inst.q0) + ' ' +
-                   std::to_string(inst.q1);
-            break;
-          case SimOp::kSwap:
-            out += "SW " + std::to_string(inst.q0) + ' ' +
-                   std::to_string(inst.q1);
-            break;
-          case SimOp::kMeasure:
-            out += "M " + std::to_string(inst.q0) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kReset:
-            out += "R " + std::to_string(inst.q0) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kXError:
-            out += "X " + std::to_string(inst.q0) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kZError:
-            out += "Z " + std::to_string(inst.q0) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kDepolarize1:
-            out += "D1 " + std::to_string(inst.q0) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kDepolarize2:
-            out += "D2 " + std::to_string(inst.q0) + ' ' +
-                   std::to_string(inst.q1) + ' ' +
-                   text::ExactDouble(inst.p);
-            break;
-          case SimOp::kDetector: {
+        if (inst.op == SimOp::kDetector) {
             const DetectorInfo& info =
                 circuit.detectors()[static_cast<size_t>(inst.index)];
-            out += "DET " + text::ExactDouble(info.coord.x) + ' ' +
-                   text::ExactDouble(info.coord.y) + ' ' +
-                   std::to_string(info.round) + ' ' +
-                   BasisChar(info.basis);
+            out += "DET";
+            SpaceDouble(out, info.coord.x);
+            SpaceDouble(out, info.coord.y);
+            SpaceInt(out, info.round);
+            out += ' ';
+            out += BasisChar(info.basis);
             AppendTargets(out, inst.targets);
-            break;
-          }
-          case SimOp::kObservableInclude:
-            out += "OBS " + std::to_string(inst.index);
+        } else if (inst.op == SimOp::kObservableInclude) {
+            out += "OBS";
+            SpaceInt(out, inst.index);
             AppendTargets(out, inst.targets);
-            break;
+        } else {
+            // "<op> <q0> [<q1>] [<p>]": the Clifford ops carry no
+            // probability, the record ops and channels do.
+            out += Mnemonic(inst.op);
+            SpaceInt(out, inst.q0);
+            if (inst.op == SimOp::kCnot || inst.op == SimOp::kSwap ||
+                inst.op == SimOp::kDepolarize2) {
+                SpaceInt(out, inst.q1);
+            }
+            if (inst.op != SimOp::kH && inst.op != SimOp::kCnot &&
+                inst.op != SimOp::kSwap) {
+                SpaceDouble(out, inst.p);
+            }
         }
         out += '\n';
     }
@@ -111,6 +120,8 @@ FormatNoisyCircuit(const NoisyCircuit& circuit)
 }
 
 namespace {
+
+using Fields = std::vector<std::string_view>;
 
 // The replay builders assert on bad operands (debug builds abort), so a
 // corrupt file is rejected here with a parse error before any Add* call.
@@ -120,9 +131,9 @@ class Replayer
     explicit Replayer(int num_qubits) : circuit_(num_qubits) {}
 
     void
-    Apply(const std::vector<std::string>& f, const std::string& context)
+    Apply(const Fields& f, const text::Context& context)
     {
-        const std::string& op = f[0];
+        const std::string_view op = f[0];
         if (op == "H") {
             Expect(f, 2, context);
             circuit_.AddH(Qubit(f[1], context));
@@ -157,7 +168,8 @@ class Replayer
             circuit_.AddDepolarize2(a, b, Channel(f[3], context));
         } else if (op == "DET") {
             if (f.size() < 6) {
-                throw std::invalid_argument("short DET line in " + context);
+                throw std::invalid_argument("short DET line in " +
+                                            context.str());
             }
             Coord coord;
             coord.x = text::ParseDouble(f[1], context);
@@ -166,23 +178,24 @@ class Replayer
             DetectorBasis basis = DetectorBasis::kUnknown;
             if (f[4].size() != 1 || !ParseBasisChar(f[4][0], &basis)) {
                 throw std::invalid_argument(
-                    "detector basis out of range in " + context);
+                    "detector basis out of range in " + context.str());
             }
             circuit_.AddDetector(Targets(f, 5, context), coord, round,
                                  basis);
         } else if (op == "OBS") {
             if (f.size() < 3) {
-                throw std::invalid_argument("short OBS line in " + context);
+                throw std::invalid_argument("short OBS line in " +
+                                            context.str());
             }
             const int obs = text::ParseInt32(f[1], context);
             if (obs < 0) {
                 throw std::invalid_argument("negative observable in " +
-                                            context);
+                                            context.str());
             }
             circuit_.AddObservableInclude(obs, Targets(f, 2, context));
         } else {
-            throw std::invalid_argument("unknown op '" + op + "' in " +
-                                        context);
+            throw std::invalid_argument("unknown op '" + std::string(op) +
+                                        "' in " + context.str());
         }
     }
 
@@ -194,44 +207,45 @@ class Replayer
 
   private:
     static void
-    Expect(const std::vector<std::string>& f, size_t n,
-           const std::string& context)
+    Expect(const Fields& f, size_t n, const text::Context& context)
     {
         if (f.size() != n) {
-            throw std::invalid_argument("wrong field count in " + context);
+            throw std::invalid_argument("wrong field count in " +
+                                        context.str());
         }
     }
 
     int
-    Qubit(const std::string& field, const std::string& context) const
+    Qubit(std::string_view field, const text::Context& context) const
     {
         const int q = text::ParseInt32(field, context);
         if (q < 0 || q >= circuit_.num_qubits()) {
-            throw std::invalid_argument("qubit out of range in " + context);
+            throw std::invalid_argument("qubit out of range in " +
+                                        context.str());
         }
         return q;
     }
 
     std::pair<int, int>
-    QubitPair(const std::string& a, const std::string& b,
-              const std::string& context) const
+    QubitPair(std::string_view a, std::string_view b,
+              const text::Context& context) const
     {
         const int qa = Qubit(a, context);
         const int qb = Qubit(b, context);
         if (qa == qb) {
             throw std::invalid_argument("repeated qubit operand in " +
-                                        context);
+                                        context.str());
         }
         return {qa, qb};
     }
 
     static double
-    Prob(const std::string& field, const std::string& context)
+    Prob(std::string_view field, const text::Context& context)
     {
         const double p = text::ParseDouble(field, context);
         if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
             throw std::invalid_argument("probability out of [0,1] in " +
-                                        context);
+                                        context.str());
         }
         return p;
     }
@@ -241,24 +255,23 @@ class Replayer
      *  byte-stable (and a p == 0 line can only come from a hand-edited
      *  or corrupt file). */
     static double
-    Channel(const std::string& field, const std::string& context)
+    Channel(std::string_view field, const text::Context& context)
     {
         const double p = Prob(field, context);
         if (p == 0.0) {
             throw std::invalid_argument("zero-probability channel in " +
-                                        context);
+                                        context.str());
         }
         return p;
     }
 
     std::vector<std::int32_t>
-    Targets(const std::vector<std::string>& f, size_t pos,
-            const std::string& context) const
+    Targets(const Fields& f, size_t pos, const text::Context& context) const
     {
         const std::int64_t n = text::ParseInt64(f[pos], context);
         if (n < 0 || f.size() != pos + 1 + static_cast<size_t>(n)) {
             throw std::invalid_argument("target list truncated in " +
-                                        context);
+                                        context.str());
         }
         std::vector<std::int32_t> targets;
         targets.reserve(static_cast<size_t>(n));
@@ -266,7 +279,7 @@ class Replayer
             const int m = text::ParseInt32(f[pos + 1 + i], context);
             if (m < 0 || m >= circuit_.num_measurements()) {
                 throw std::invalid_argument(
-                    "measurement record out of range in " + context);
+                    "measurement record out of range in " + context.str());
             }
             targets.push_back(m);
         }
@@ -277,38 +290,34 @@ class Replayer
 };
 
 NoisyCircuit
-ParseNoisyCircuitImpl(const std::string& text_in)
+ParseNoisyCircuitImpl(std::string_view text_in)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    auto next = [&in, &line]() -> bool {
-        if (!std::getline(in, line)) {
-            return false;
-        }
-        text::StripCr(line);
-        return true;
-    };
+    text::LineCursor in(text_in);
+    std::string_view line;
+    Fields fields;
 
-    if (!next() || line != kHeader) {
+    if (!in.Next(&line) || line != kHeader) {
         throw std::invalid_argument("missing 'tiqec-circuit v2' header");
     }
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing qubits line");
     }
-    auto fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 2 || fields[0] != "qubits") {
-        throw std::invalid_argument("malformed qubits line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed qubits line", line));
     }
     const int num_qubits = text::ParseInt32(fields[1], "qubits");
     if (num_qubits <= 0) {
         throw std::invalid_argument("non-positive qubit count");
     }
-    if (!next()) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing ops line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 2 || fields[0] != "ops") {
-        throw std::invalid_argument("malformed ops line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed ops line", line));
     }
     const std::int64_t num_ops = text::ParseInt64(fields[1], "ops");
     if (num_ops < 0) {
@@ -317,19 +326,20 @@ ParseNoisyCircuitImpl(const std::string& text_in)
 
     Replayer replayer(num_qubits);
     for (std::int64_t i = 0; i < num_ops; ++i) {
-        const std::string context = "op " + std::to_string(i);
-        if (!next()) {
-            throw std::invalid_argument("truncated: missing " + context);
+        const text::Context context("op", i);
+        if (!in.Next(&line)) {
+            throw std::invalid_argument("truncated: missing " +
+                                        context.str());
         }
-        fields = text::SplitFields(line, ' ');
-        if (fields.empty() || fields[0].empty()) {
-            throw std::invalid_argument("empty " + context);
+        text::SplitFields(line, ' ', &fields);
+        if (fields[0].empty()) {
+            throw std::invalid_argument("empty " + context.str());
         }
         replayer.Apply(fields, context);
     }
-    if (next() && !line.empty()) {
-        throw std::invalid_argument("trailing content after last op: '" +
-                                    line + "'");
+    if (in.Next(&line) && !line.empty()) {
+        throw std::invalid_argument(
+            text::Quoted("trailing content after last op", line));
     }
     return replayer.Take();
 }
@@ -337,7 +347,7 @@ ParseNoisyCircuitImpl(const std::string& text_in)
 }  // namespace
 
 std::optional<NoisyCircuit>
-ParseNoisyCircuit(const std::string& text, std::string* error)
+ParseNoisyCircuit(std::string_view text, std::string* error)
 {
     try {
         return ParseNoisyCircuitImpl(text);

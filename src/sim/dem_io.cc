@@ -1,7 +1,8 @@
 #include "sim/dem_io.h"
 
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "common/text_format.h"
 
@@ -28,13 +29,13 @@ void
 AppendEdge(std::string& out, const DemEdge& e)
 {
     out += "e ";
-    out += std::to_string(e.d0);
+    text::AppendInt(out, e.d0);
     out += ' ';
-    out += std::to_string(e.d1);
+    text::AppendInt(out, e.d1);
     out += ' ';
-    out += text::ExactDouble(e.p);
+    text::AppendExactDouble(out, e.p);
     out += ' ';
-    out += std::to_string(e.obs_mask);
+    text::AppendInt(out, e.obs_mask);
     out += '\n';
 }
 
@@ -42,22 +43,22 @@ void
 AppendHyperedge(std::string& out, const DemHyperedge& h)
 {
     out += "h ";
-    out += std::to_string(h.mechanism);
+    text::AppendInt(out, h.mechanism);
     out += ' ';
-    out += text::ExactDouble(h.p);
+    text::AppendExactDouble(out, h.p);
     out += ' ';
-    out += std::to_string(h.obs_mask);
+    text::AppendInt(out, h.obs_mask);
     out += ' ';
-    out += std::to_string(h.dets.size());
+    text::AppendInt(out, h.dets.size());
     for (const int d : h.dets) {
         out += ' ';
-        out += std::to_string(d);
+        text::AppendInt(out, d);
     }
     out += ' ';
-    out += std::to_string(h.edges.size());
+    text::AppendInt(out, h.edges.size());
     for (const int e : h.edges) {
         out += ' ';
-        out += std::to_string(e);
+        text::AppendInt(out, e);
     }
     out += '\n';
 }
@@ -71,32 +72,32 @@ FormatDem(const DetectorErrorModel& dem)
     out += kHeader;
     out += '\n';
     out += "counts ";
-    out += std::to_string(dem.num_detectors);
+    text::AppendInt(out, dem.num_detectors);
     out += ' ';
-    out += std::to_string(dem.num_observables);
+    text::AppendInt(out, dem.num_observables);
     out += ' ';
-    out += std::to_string(dem.edges.size());
+    text::AppendInt(out, dem.edges.size());
     out += ' ';
-    out += std::to_string(dem.hyperedges.size());
+    text::AppendInt(out, dem.hyperedges.size());
     out += '\n';
     out += "diag ";
-    out += std::to_string(dem.num_components);
+    text::AppendInt(out, dem.num_components);
     out += ' ';
-    out += std::to_string(dem.num_decomposed);
+    text::AppendInt(out, dem.num_decomposed);
     out += ' ';
-    out += std::to_string(dem.num_hyperedges);
+    text::AppendInt(out, dem.num_hyperedges);
     out += ' ';
-    out += std::to_string(dem.num_undecomposable);
+    text::AppendInt(out, dem.num_undecomposable);
     out += '\n';
     out += "mass ";
-    out += text::ExactDouble(dem.hyperedge_probability);
+    text::AppendExactDouble(out, dem.hyperedge_probability);
     out += ' ';
-    out += text::ExactDouble(dem.undecomposable_probability);
+    text::AppendExactDouble(out, dem.undecomposable_probability);
     out += ' ';
-    out += text::ExactDouble(dem.dropped_probability);
+    text::AppendExactDouble(out, dem.dropped_probability);
     out += '\n';
     out += "bases ";
-    out += std::to_string(dem.detector_basis.size());
+    text::AppendInt(out, dem.detector_basis.size());
     if (!dem.detector_basis.empty()) {
         out += ' ';
         for (const DetectorBasis b : dem.detector_basis) {
@@ -116,40 +117,33 @@ FormatDem(const DetectorErrorModel& dem)
 namespace {
 
 std::uint32_t
-ParseMask(const std::string& field, const std::string& context)
+ParseMask(std::string_view field, const text::Context& context)
 {
     const std::int64_t v = text::ParseInt64(field, context);
     if (v < 0 || v > 0xffffffffll) {
-        throw std::invalid_argument("obs_mask out of range in " + context);
+        throw std::invalid_argument("obs_mask out of range in " +
+                                    context.str());
     }
     return static_cast<std::uint32_t>(v);
 }
 
-bool
-NextLine(std::istringstream& in, std::string* line)
-{
-    if (!std::getline(in, *line)) {
-        return false;
-    }
-    text::StripCr(*line);
-    return true;
-}
-
 void
-ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
+ParseDemImpl(std::string_view text_in, DetectorErrorModel* dem)
 {
-    std::istringstream in(text_in);
-    std::string line;
-    if (!NextLine(in, &line) || line != kHeader) {
+    text::LineCursor in(text_in);
+    std::string_view line;
+    std::vector<std::string_view> fields;
+    if (!in.Next(&line) || line != kHeader) {
         throw std::invalid_argument("missing 'tiqec-dem v2' header");
     }
 
-    if (!NextLine(in, &line)) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing counts line");
     }
-    auto fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 5 || fields[0] != "counts") {
-        throw std::invalid_argument("malformed counts line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed counts line", line));
     }
     dem->num_detectors = text::ParseInt32(fields[1], "counts");
     dem->num_observables = text::ParseInt32(fields[2], "counts");
@@ -159,41 +153,45 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
         throw std::invalid_argument("negative element count");
     }
 
-    if (!NextLine(in, &line)) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing diag line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 5 || fields[0] != "diag") {
-        throw std::invalid_argument("malformed diag line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed diag line", line));
     }
     dem->num_components = text::ParseInt32(fields[1], "diag");
     dem->num_decomposed = text::ParseInt32(fields[2], "diag");
     dem->num_hyperedges = text::ParseInt32(fields[3], "diag");
     dem->num_undecomposable = text::ParseInt32(fields[4], "diag");
 
-    if (!NextLine(in, &line)) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing mass line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() != 4 || fields[0] != "mass") {
-        throw std::invalid_argument("malformed mass line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed mass line", line));
     }
     dem->hyperedge_probability = text::ParseDouble(fields[1], "mass");
     dem->undecomposable_probability = text::ParseDouble(fields[2], "mass");
     dem->dropped_probability = text::ParseDouble(fields[3], "mass");
 
-    if (!NextLine(in, &line)) {
+    if (!in.Next(&line)) {
         throw std::invalid_argument("missing bases line");
     }
-    fields = text::SplitFields(line, ' ');
+    text::SplitFields(line, ' ', &fields);
     if (fields.size() < 2 || fields[0] != "bases") {
-        throw std::invalid_argument("malformed bases line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed bases line", line));
     }
     const std::int64_t num_bases = text::ParseInt64(fields[1], "bases");
     if (fields.size() != (num_bases == 0 ? 2u : 3u)) {
-        throw std::invalid_argument("malformed bases line: '" + line + "'");
+        throw std::invalid_argument(
+            text::Quoted("malformed bases line", line));
     }
-    const std::string tags = num_bases == 0 ? "" : fields[2];
+    const std::string_view tags = num_bases == 0 ? "" : fields[2];
     if ((num_bases != 0 && num_bases != dem->num_detectors) ||
         static_cast<std::int64_t>(tags.size()) != num_bases) {
         throw std::invalid_argument(
@@ -211,14 +209,15 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
 
     dem->edges.reserve(static_cast<size_t>(num_edges));
     for (std::int64_t i = 0; i < num_edges; ++i) {
-        const std::string context = "edge " + std::to_string(i);
-        if (!NextLine(in, &line)) {
-            throw std::invalid_argument("truncated: missing " + context);
+        const text::Context context("edge", i);
+        if (!in.Next(&line)) {
+            throw std::invalid_argument("truncated: missing " +
+                                        context.str());
         }
-        fields = text::SplitFields(line, ' ');
+        text::SplitFields(line, ' ', &fields);
         if (fields.size() != 5 || fields[0] != "e") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
+            throw std::invalid_argument(
+                text::Quoted("malformed " + context.str(), line));
         }
         DemEdge e;
         e.d0 = text::ParseInt32(fields[1], context);
@@ -230,16 +229,17 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
 
     dem->hyperedges.reserve(static_cast<size_t>(num_hyper));
     for (std::int64_t i = 0; i < num_hyper; ++i) {
-        const std::string context = "hyperedge " + std::to_string(i);
-        if (!NextLine(in, &line)) {
-            throw std::invalid_argument("truncated: missing " + context);
+        const text::Context context("hyperedge", i);
+        if (!in.Next(&line)) {
+            throw std::invalid_argument("truncated: missing " +
+                                        context.str());
         }
-        fields = text::SplitFields(line, ' ');
+        text::SplitFields(line, ' ', &fields);
         if (fields.size() < 5 || fields[0] != "h") {
-            throw std::invalid_argument("malformed " + context + ": '" +
-                                        line + "'");
+            throw std::invalid_argument(
+                text::Quoted("malformed " + context.str(), line));
         }
-        DemHyperedge h;
+        DemHyperedge& h = dem->hyperedges.emplace_back();
         h.mechanism = text::ParseInt32(fields[1], context);
         h.p = text::ParseDouble(fields[2], context);
         h.obs_mask = ParseMask(fields[3], context);
@@ -248,7 +248,7 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
         if (ndets < 0 ||
             fields.size() < pos + static_cast<size_t>(ndets) + 1) {
             throw std::invalid_argument("detector list truncated in " +
-                                        context);
+                                        context.str());
         }
         h.dets.reserve(static_cast<size_t>(ndets));
         for (std::int64_t d = 0; d < ndets; ++d) {
@@ -257,30 +257,30 @@ ParseDemImpl(const std::string& text_in, DetectorErrorModel* dem)
         const std::int64_t nedges = text::ParseInt64(fields[pos++], context);
         if (nedges < 0 ||
             fields.size() != pos + static_cast<size_t>(nedges)) {
-            throw std::invalid_argument("edge list truncated in " + context);
+            throw std::invalid_argument("edge list truncated in " +
+                                        context.str());
         }
         h.edges.reserve(static_cast<size_t>(nedges));
         for (std::int64_t e = 0; e < nedges; ++e) {
             const int idx = text::ParseInt32(fields[pos++], context);
             if (idx < 0 || idx >= static_cast<int>(dem->edges.size())) {
                 throw std::invalid_argument(
-                    "edge index out of range in " + context);
+                    "edge index out of range in " + context.str());
             }
             h.edges.push_back(idx);
         }
-        dem->hyperedges.push_back(std::move(h));
     }
 
-    if (NextLine(in, &line) && !line.empty()) {
-        throw std::invalid_argument("trailing content after last element: '" +
-                                    line + "'");
+    if (in.Next(&line) && !line.empty()) {
+        throw std::invalid_argument(
+            text::Quoted("trailing content after last element", line));
     }
 }
 
 }  // namespace
 
 bool
-ParseDem(const std::string& text, DetectorErrorModel* dem, std::string* error)
+ParseDem(std::string_view text, DetectorErrorModel* dem, std::string* error)
 {
     *dem = DetectorErrorModel{};
     try {

@@ -13,6 +13,7 @@
 #define TIQEC_SIM_DEM_IO_H
 
 #include <string>
+#include <string_view>
 
 #include "sim/dem.h"
 
@@ -26,7 +27,7 @@ std::string FormatDem(const DetectorErrorModel& dem);
  * failure returns false with a diagnostic in `*error` and leaves `*dem`
  * unspecified.
  */
-bool ParseDem(const std::string& text, DetectorErrorModel* dem,
+bool ParseDem(std::string_view text, DetectorErrorModel* dem,
               std::string* error);
 
 }  // namespace tiqec::sim

@@ -2,8 +2,8 @@
 
 #include <filesystem>
 #include <functional>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/analysis.h"
@@ -22,66 +22,85 @@ namespace {
 
 constexpr char kMagic[] = "tiqec-artifact v1";
 
-/** Line-oriented reader over an artifact payload; throws
- *  std::invalid_argument with context on any shortfall. */
+/** Line-oriented reader over an artifact payload (which must outlive
+ *  it); throws std::invalid_argument with context on any shortfall. */
 class LineReader
 {
   public:
-    explicit LineReader(const std::string& text) : in_(text) {}
+    explicit LineReader(std::string_view text) : in_(text), text_(text) {}
 
-    std::string
-    Line(const std::string& context)
+    std::string_view
+    Line(const text::Context& context)
     {
-        std::string line;
-        if (!std::getline(in_, line)) {
+        std::string_view line;
+        if (!in_.Next(&line)) {
             throw std::invalid_argument("truncated artifact: missing " +
-                                        context);
+                                        context.str());
         }
-        text::StripCr(line);
         return line;
     }
 
     /** A line split on spaces, with the expected tag and field count. */
-    std::vector<std::string>
+    std::vector<std::string_view>
     Tagged(const std::string& tag, size_t num_fields)
     {
-        const std::string line = Line(tag + " line");
-        std::vector<std::string> fields = text::SplitFields(line, ' ');
+        const std::string context = tag + " line";
+        const std::string_view line = Line(context);
+        std::vector<std::string_view> fields;
+        text::SplitFields(line, ' ', &fields);
         if (fields.size() != num_fields || fields[0] != tag) {
-            throw std::invalid_argument("malformed " + tag + " line: '" +
-                                        line + "'");
+            throw std::invalid_argument(
+                text::Quoted("malformed " + context, line));
         }
         return fields;
     }
 
-    /** `n` raw lines rejoined with trailing newlines (an embedded
-     *  sub-document, e.g. the schedule CSV or the DEM text). */
-    std::string
-    Block(std::int64_t n, const std::string& context)
+    /**
+     * The next `n` lines as one embedded sub-document (the schedule CSV,
+     * the circuit or the DEM text), viewed in place. A sub-parser reads
+     * the view exactly as it would the lines rejoined with '\n' after
+     * this reader dropped one trailing '\r' from each, unless a line
+     * ends in a doubled "\r\r" (the sub-parser would keep one '\r'):
+     * only then is that rejoined copy built, in `*scratch`.
+     */
+    std::string_view
+    Block(std::int64_t n, const char* what, std::string* scratch)
     {
-        std::string out;
+        const size_t begin = in_.position();
+        const std::string label = std::string(what) + " line";
+        bool doubled_cr = false;
         for (std::int64_t i = 0; i < n; ++i) {
-            out += Line(context + " line " + std::to_string(i));
-            out += '\n';
+            const std::string_view line = Line(text::Context(label, i));
+            doubled_cr = doubled_cr || (!line.empty() && line.back() == '\r');
         }
-        return out;
+        const std::string_view block =
+            text_.substr(begin, in_.position() - begin);
+        if (!doubled_cr) {
+            return block;
+        }
+        scratch->clear();
+        text::LineCursor lines(block);
+        std::string_view line;
+        while (lines.Next(&line)) {
+            *scratch += line;
+            *scratch += '\n';
+        }
+        return *scratch;
     }
 
     void
     ExpectEnd()
     {
-        std::string line;
-        if (std::getline(in_, line)) {
-            text::StripCr(line);
-            if (!line.empty()) {
-                throw std::invalid_argument(
-                    "trailing content in artifact: '" + line + "'");
-            }
+        std::string_view line;
+        if (in_.Next(&line) && !line.empty()) {
+            throw std::invalid_argument(
+                text::Quoted("trailing content in artifact", line));
         }
     }
 
   private:
-    std::istringstream in_;
+    text::LineCursor in_;
+    std::string_view text_;
 };
 
 std::int64_t
@@ -107,11 +126,12 @@ AppendIntList(std::string& out, const std::string& tag, size_t n,
 }
 
 std::vector<std::int32_t>
-ParseIntList(const std::vector<std::string>& fields, size_t expected,
-             const std::string& context)
+ParseIntList(const std::vector<std::string_view>& fields, size_t expected,
+             const char* context)
 {
     if (fields.size() != expected + 1) {
-        throw std::invalid_argument("wrong element count in " + context);
+        throw std::invalid_argument(std::string("wrong element count in ") +
+                                    context);
     }
     std::vector<std::int32_t> values;
     values.reserve(expected);
@@ -161,37 +181,36 @@ ArtifactStore::Count(LoadStatus status) const
 }
 
 LoadStatus
-ArtifactStore::ReadPayload(const StoreKey& key, std::string* payload,
+ArtifactStore::ReadPayload(const StoreKey& key, std::string* content,
+                           std::string_view* payload,
                            std::string* error) const
 {
     const std::string path = PathFor(key);
-    std::string content;
-    if (!common::ReadFile(path, &content)) {
+    if (!common::ReadFile(path, content)) {
         // Unreadable covers both "never written" and genuine I/O
         // failure; either way the caller recomputes, so it is a miss.
         return LoadStatus::kMiss;
     }
-    const size_t first_nl = content.find('\n');
-    if (first_nl == std::string::npos) {
+    const std::string_view file(*content);
+    const size_t first_nl = file.find('\n');
+    if (first_nl == std::string_view::npos) {
         *error = "artifact store: truncated header in " + path;
         return LoadStatus::kCorrupt;
     }
-    std::string magic = content.substr(0, first_nl);
-    text::StripCr(magic);
+    const std::string_view magic = text::StripCr(file.substr(0, first_nl));
     if (magic != std::string(kMagic) + " " + key.kind) {
-        *error = "artifact store: bad magic in " + path + ": '" + magic +
-                 "'";
+        *error = "artifact store: bad magic in " + path + ": '" +
+                 std::string(magic) + "'";
         return LoadStatus::kCorrupt;
     }
-    const size_t second_nl = content.find('\n', first_nl + 1);
-    if (second_nl == std::string::npos) {
+    const size_t second_nl = file.find('\n', first_nl + 1);
+    if (second_nl == std::string_view::npos) {
         *error = "artifact store: missing key line in " + path;
         return LoadStatus::kCorrupt;
     }
-    std::string key_line =
-        content.substr(first_nl + 1, second_nl - first_nl - 1);
-    text::StripCr(key_line);
-    if (key_line.rfind("key ", 0) != 0) {
+    const std::string_view key_line = text::StripCr(
+        file.substr(first_nl + 1, second_nl - first_nl - 1));
+    if (key_line.substr(0, 4) != "key ") {
         *error = "artifact store: malformed key line in " + path;
         return LoadStatus::kCorrupt;
     }
@@ -200,7 +219,7 @@ ArtifactStore::ReadPayload(const StoreKey& key, std::string* payload,
         // or the file predates a key-schema change: not our artifact.
         return LoadStatus::kMiss;
     }
-    payload->assign(content, second_nl + 1, std::string::npos);
+    *payload = file.substr(second_nl + 1);
     return LoadStatus::kHit;
 }
 
@@ -238,8 +257,9 @@ ArtifactStore::LoadCompile(const StoreKey& key,
                            core::CompileArtifacts* arts,
                            std::string* error) const
 {
-    std::string payload;
-    const LoadStatus read = ReadPayload(key, &payload, error);
+    std::string content;
+    std::string_view payload;
+    const LoadStatus read = ReadPayload(key, &content, &payload, error);
     if (read != LoadStatus::kHit) {
         return Count(read);
     }
@@ -307,8 +327,9 @@ ArtifactStore::LoadCompile(const StoreKey& key,
         if (csv_lines < 1) {
             throw std::invalid_argument("schedule block is empty");
         }
-        c.schedule =
-            compiler::ParseScheduleCsv(reader.Block(csv_lines, "schedule"));
+        std::string scratch;
+        c.schedule = compiler::ParseScheduleCsv(
+            reader.Block(csv_lines, "schedule", &scratch));
         // The compiler takes num_passes from the router, not from the
         // pass column (a trailing gate-only pass has no movement rows);
         // mirror that here so the reconstruction is field-exact.
@@ -393,8 +414,9 @@ ArtifactStore::LoadNoise(const StoreKey& key, size_t expected_gates,
                          noise::RoundNoiseProfile* profile,
                          std::string* error) const
 {
-    std::string payload;
-    const LoadStatus read = ReadPayload(key, &payload, error);
+    std::string content;
+    std::string_view payload;
+    const LoadStatus read = ReadPayload(key, &content, &payload, error);
     if (read != LoadStatus::kHit) {
         return Count(read);
     }
@@ -433,19 +455,23 @@ LoadStatus
 ArtifactStore::LoadSim(const StoreKey& key, core::SimArtifacts* arts,
                        std::string* error) const
 {
-    std::string payload;
-    const LoadStatus read = ReadPayload(key, &payload, error);
+    std::string content;
+    std::string_view payload;
+    const LoadStatus read = ReadPayload(key, &content, &payload, error);
     if (read != LoadStatus::kHit) {
         return Count(read);
     }
     try {
         LineReader reader(payload);
         auto fields = reader.Tagged("circuit", 2);
-        const std::string circuit_text = reader.Block(
-            text::ParseInt64(fields[1], "circuit"), "circuit");
+        std::string circuit_scratch;
+        const std::string_view circuit_text =
+            reader.Block(text::ParseInt64(fields[1], "circuit"), "circuit",
+                         &circuit_scratch);
         fields = reader.Tagged("dem", 2);
-        const std::string dem_text =
-            reader.Block(text::ParseInt64(fields[1], "dem"), "dem");
+        std::string dem_scratch;
+        const std::string_view dem_text = reader.Block(
+            text::ParseInt64(fields[1], "dem"), "dem", &dem_scratch);
         reader.ExpectEnd();
 
         std::string parse_error;
@@ -488,6 +514,7 @@ ArtifactStore::StoreSim(const StoreKey& key, const core::SimArtifacts& arts,
         sim::FormatNoisyCircuit(arts.experiment);
     const std::string dem_text = sim::FormatDem(arts.dem);
     std::string payload;
+    payload.reserve(circuit_text.size() + dem_text.size() + 64);
     payload += "circuit " + std::to_string(CountLines(circuit_text)) + '\n';
     payload += circuit_text;
     payload += "dem " + std::to_string(CountLines(dem_text)) + '\n';

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/pipeline.h"
 #include "noise/annotator.h"
@@ -115,7 +116,10 @@ class ArtifactStore
     std::string PathFor(const StoreKey& key) const;
 
   private:
-    LoadStatus ReadPayload(const StoreKey& key, std::string* payload,
+    /** Reads the file of `key` into `*content` and points `*payload`
+     *  at the part after its magic and key lines. */
+    LoadStatus ReadPayload(const StoreKey& key, std::string* content,
+                           std::string_view* payload,
                            std::string* error) const;
     bool WritePayload(const StoreKey& key, const std::string& payload,
                       std::string* error) const;

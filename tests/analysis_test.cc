@@ -425,6 +425,140 @@ TEST(AnalysisMutation, EveryRuleFiresOnItsMutation)
     EXPECT_EQ(MutationBattery().size(), AllRuleIds().size());
 }
 
+/** The dem.hyperedge_edges diagnostics of `m`, one per line. */
+std::string
+HyperedgeEdgesText(const sim::DetectorErrorModel& m)
+{
+    std::vector<Diagnostic> diags = ValidateDem(m);
+    diags.erase(std::remove_if(diags.begin(), diags.end(),
+                               [](const Diagnostic& d) {
+                                   return d.rule != kRuleDemHyperedgeEdges;
+                               }),
+                diags.end());
+    return diags.empty() ? "" : Join(diags);
+}
+
+// Edge cases of the decomposition-tiling check: a decomposition must be
+// a strictly ascending list of existing edges whose non-boundary
+// endpoints cover the signature exactly once. Each case's diagnostic
+// text is pinned, so the check may change how it counts, never what it
+// decides or says.
+TEST(AnalysisMutation, HyperedgeTilingEdgeCasesArePinned)
+{
+    const sim::DetectorErrorModel& clean = Clean().sim.dem;
+    ASSERT_EQ(HyperedgeEdgesText(clean), "");
+    const auto target = std::find_if(
+        clean.hyperedges.begin(), clean.hyperedges.end(),
+        [](const sim::DemHyperedge& h) { return h.edges.size() >= 2; });
+    ASSERT_NE(target, clean.hyperedges.end());
+    const size_t hi = static_cast<size_t>(target - clean.hyperedges.begin());
+    // Two boundary edges on distinct detectors a < b, and the interior
+    // edge (a, b) when the model has one.
+    std::vector<int> boundary;
+    for (size_t e = 0; e < clean.edges.size() && boundary.size() < 2; ++e) {
+        if (clean.edges[e].d1 == sim::DemEdge::kBoundary &&
+            (boundary.empty() ||
+             clean.edges[boundary[0]].d0 != clean.edges[e].d0)) {
+            boundary.push_back(static_cast<int>(e));
+        }
+    }
+    ASSERT_EQ(boundary.size(), 2u);
+    const int a = std::min(clean.edges[boundary[0]].d0,
+                           clean.edges[boundary[1]].d0);
+    const int b = std::max(clean.edges[boundary[0]].d0,
+                           clean.edges[boundary[1]].d0);
+    const int ba = clean.edges[boundary[0]].d0 == a ? boundary[0]
+                                                    : boundary[1];
+    const auto interior = std::find_if(
+        clean.edges.begin(), clean.edges.end(),
+        [&](const sim::DemEdge& e) { return e.d0 == a && e.d1 != -1; });
+    ASSERT_NE(interior, clean.edges.end());
+    const int ia = static_cast<int>(interior - clean.edges.begin());
+    const int other = interior->d1;
+
+    const auto mutate = [&](const std::function<void(
+                                sim::DetectorErrorModel&,
+                                sim::DemHyperedge&)>& edit) {
+        sim::DetectorErrorModel m = clean;
+        edit(m, m.hyperedges[hi]);
+        return HyperedgeEdgesText(m);
+    };
+    const auto sorted = [](std::vector<int> v) {
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+    const std::string loc = "[dem.hyperedge_edges] hyperedge " +
+                            std::to_string(hi) + ": ";
+    const std::string tiling =
+        "decomposition is not a sorted list of existing elementary edges "
+        "partitioning the detector signature\n";
+
+    // One detector covered twice: the interior edge (a, other) plus a's
+    // boundary edge over the signature {a, other}.
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  h.dets = sorted({a, other});
+                  h.edges = sorted({ia, ba});
+              }),
+              loc + tiling);
+    // Only boundary edges: they tile {a, b} exactly, but not {a, b, c}.
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  h.dets = {a, b};
+                  h.edges = sorted(boundary);
+              }),
+              "");
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  h.dets = sorted({a, b, other == b ? b + 1 : other});
+                  h.edges = sorted(boundary);
+              }),
+              loc + tiling);
+    // Unsorted and duplicate edge indices.
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  std::reverse(h.edges.begin(), h.edges.end());
+              }),
+              loc + tiling);
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  h.edges.insert(h.edges.begin(), h.edges.front());
+              }),
+              loc + tiling);
+    // Edge indices past either end of the edge list.
+    EXPECT_EQ(mutate([&](sim::DetectorErrorModel& m, sim::DemHyperedge& h) {
+                  h.edges.back() = static_cast<int>(m.edges.size());
+              }),
+              loc + tiling);
+    EXPECT_EQ(mutate([&](auto&, sim::DemHyperedge& h) {
+                  h.edges.front() = -1;
+              }),
+              loc + tiling);
+    // A referenced edge whose endpoint is out of range: every hyperedge
+    // that references it stops tiling (the edge itself is reported by
+    // dem.detector_range).
+    EXPECT_EQ(mutate([&](sim::DetectorErrorModel& m, sim::DemHyperedge& h) {
+                  m.edges[static_cast<size_t>(h.edges.front())].d1 =
+                      m.num_detectors + 5;
+              }),
+              loc + tiling);
+    EXPECT_EQ(mutate([&](sim::DetectorErrorModel& m, sim::DemHyperedge& h) {
+                  m.edges[static_cast<size_t>(h.edges.front())].d0 = -3;
+              }),
+              loc + tiling);
+}
+
+// An observable past the 32 a mask can address has no acting mechanism,
+// even under a full mask (the accounting must not shift a 32-bit mask
+// by 32, which is undefined and on x86 reads bit 0 again).
+TEST(AnalysisMutation, ObservablesPastTheMaskWidthAreUnsupported)
+{
+    sim::DetectorErrorModel m;
+    m.num_detectors = 1;
+    m.num_observables = 33;
+    m.edges.push_back({0, sim::DemEdge::kBoundary, 0.25, ~0u});
+    std::vector<Diagnostic> diags = ValidateDem(m);
+    EXPECT_EQ(Join(diags),
+              "[dem.logical_operator] observable 32: no error mechanism "
+              "acts on this observable; its logical operator is decoupled "
+              "from the noise model\n");
+}
+
 struct FamilyCase
 {
     const char* family;

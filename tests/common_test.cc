@@ -5,11 +5,17 @@
  * text formatting, and the JSON record emitter.
  */
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <clocale>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -350,6 +356,104 @@ TEST(TextFormatTest, ExactDoubleIsShortestRoundTripForm)
             text::ParseDouble(text::ExactDouble(v), "test");
         EXPECT_EQ(std::memcmp(&parsed, &v, sizeof v), 0)
             << text::ExactDouble(v);
+    }
+}
+
+// The view scanner must yield exactly the lines of a getline + StripCr
+// loop (the serializers' old reader), line endings and all.
+TEST(TextFormatTest, LineCursorMatchesGetlineWithStripCr)
+{
+    for (const std::string& text :
+         {std::string(""), std::string("\n"), std::string("a"),
+          std::string("a\n"), std::string("a\nb"), std::string("a\n\n"),
+          std::string("a\r\nb\r\n"), std::string("a\r\r\nb"),
+          std::string("\r"), std::string("\r\n\r\n"), std::string("x\ry\n"),
+          std::string("a\0b\n", 4)}) {
+        std::vector<std::string> expected;
+        std::istringstream in(text);
+        std::string line;
+        while (std::getline(in, line)) {
+            text::StripCr(line);
+            expected.push_back(line);
+        }
+        std::vector<std::string> got;
+        text::LineCursor cursor(text);
+        std::string_view view;
+        while (cursor.Next(&view)) {
+            got.emplace_back(view);
+        }
+        EXPECT_EQ(got, expected) << "input of " << text.size() << " bytes";
+        EXPECT_EQ(cursor.position(), text.size());
+    }
+}
+
+TEST(TextFormatTest, SplitFieldsKeepsEmptyFields)
+{
+    std::vector<std::string_view> fields{"stale"};
+    text::SplitFields("a,b,", ',', &fields);
+    EXPECT_EQ(fields, (std::vector<std::string_view>{"a", "b", ""}));
+    text::SplitFields("", ' ', &fields);
+    EXPECT_EQ(fields, (std::vector<std::string_view>{""}));
+    text::SplitFields(" x  y", ' ', &fields);
+    EXPECT_EQ(fields, (std::vector<std::string_view>{"", "x", "", "y"}));
+}
+
+// The integer parsers' digit fast path must agree with std::from_chars
+// on every field, accepted or not, and a rejection must name its
+// context exactly as the eager string context did.
+TEST(TextFormatTest, IntegerParsersAgreeWithFromChars)
+{
+    for (const std::string field :
+         {"0", "7", "007", "123456789", "999999999", "1234567890",
+          "2147483647", "2147483648", "-1", "-0", "+1", "", " 1", "1 ",
+          "1e3", "12a", "0x1", "9223372036854775807",
+          "9223372036854775808", "-2147483649"}) {
+        SCOPED_TRACE("field '" + field + "'");
+        std::int32_t v32 = 0;
+        const auto r32 =
+            std::from_chars(field.data(), field.data() + field.size(), v32);
+        if (r32.ec == std::errc() && r32.ptr == field.data() + field.size()) {
+            EXPECT_EQ(text::ParseInt32(field, "t"), v32);
+        } else {
+            EXPECT_THROW(text::ParseInt32(field, "t"), std::invalid_argument);
+        }
+        std::int64_t v64 = 0;
+        const auto r64 =
+            std::from_chars(field.data(), field.data() + field.size(), v64);
+        if (r64.ec == std::errc() && r64.ptr == field.data() + field.size()) {
+            EXPECT_EQ(text::ParseInt64(field, "t"), v64);
+        } else {
+            EXPECT_THROW(text::ParseInt64(field, "t"), std::invalid_argument);
+        }
+    }
+    try {
+        text::ParseInt32("4x", text::Context("edge", 17));
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "bad integer '4x' in edge 17");
+    }
+    try {
+        text::ParseDouble("nan?", text::Context("line: ", "1,nan?"));
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "bad number 'nan?' in line: 1,nan?");
+    }
+}
+
+TEST(TextFormatTest, AppendHelpersMatchTheStringForms)
+{
+    std::string out;
+    for (const std::int64_t v :
+         {std::int64_t{0}, std::int64_t{-1}, std::int64_t{4294967295},
+          INT64_MIN, INT64_MAX}) {
+        out.clear();
+        text::AppendInt(out, v);
+        EXPECT_EQ(out, std::to_string(v));
+    }
+    for (const double v : {0.1, -2.5e-7, 1.0 / 3.0, 5e-324}) {
+        out = "x";
+        text::AppendExactDouble(out, v);
+        EXPECT_EQ(out, "x" + text::ExactDouble(v));
     }
 }
 
